@@ -7,81 +7,15 @@ Core facts implemented here, for a random variable X with E X <= 0:
 both sharp, with equality exactly for zero-mean two-point distributions.
 The package computes moments of discrete distributions, checks Hankel
 (moment matrix) feasibility, evaluates the bounds with tightness
-certificates, and verifies sharpness with an independent brute-force
-oracle.
+certificates, and verifies sharpness with an independent LP oracle whose
+optima carry dual certificates.
 """
 
-from .moments import (
-    DiscreteDistribution,
-    FeasibilityReport,
-    HankelMatrix,
-    InfeasibleMomentsError,
-    MomentVector,
-    abs_third_moment,
-    feasibility,
-    hankel,
-    hankel_det_closed_form,
-    moment_scale,
-    moments_from_discrete,
-    moments_from_samples,
-    scale_moments,
-)
-from .bounds import (
-    QUARTER_CONSTANT,
-    BoundResult,
-    Certificate,
-    ExtremalSpec,
-    MomentInterval,
-    bound_quarter,
-    bound_sqrt,
-    bound_trivial,
-    certificate_from_hankel,
-    extremal_from_sigma,
-    m3_interval,
-    two_point_zero_mean,
-)
-from .oracle import (
-    FalsifierReport,
-    OracleConfig,
-    OracleResult,
-    oracle_extreme_m3_given,
-    oracle_max_m3,
-    random_falsifier,
-)
+from . import bounds, moments, oracle
+from .bounds import *  # noqa: F403
+from .moments import *  # noqa: F403
+from .oracle import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "InfeasibleMomentsError",
-    "MomentVector",
-    "DiscreteDistribution",
-    "HankelMatrix",
-    "FeasibilityReport",
-    "BoundResult",
-    "MomentInterval",
-    "Certificate",
-    "ExtremalSpec",
-    "OracleConfig",
-    "OracleResult",
-    "FalsifierReport",
-    "QUARTER_CONSTANT",
-    "moment_scale",
-    "moments_from_discrete",
-    "moments_from_samples",
-    "abs_third_moment",
-    "hankel",
-    "hankel_det_closed_form",
-    "feasibility",
-    "scale_moments",
-    "bound_trivial",
-    "bound_sqrt",
-    "bound_quarter",
-    "m3_interval",
-    "two_point_zero_mean",
-    "extremal_from_sigma",
-    "certificate_from_hankel",
-    "oracle_max_m3",
-    "oracle_extreme_m3_given",
-    "random_falsifier",
-]
+__all__ = ["__version__", *moments.__all__, *bounds.__all__, *oracle.__all__]

@@ -24,10 +24,11 @@ from .moments import (
     InfeasibleMomentsError,
     MomentVector,
     feasibility,
+    floor_at,
     hankel,
     hankel_det_closed_form,
     moment_scale,
-    moments_from_discrete,
+    root,
 )
 
 __all__ = [
@@ -42,6 +43,9 @@ __all__ = [
     "bound_sqrt",
     "bound_quarter",
     "m3_interval",
+    "sqrt_bound",
+    "quarter_bound",
+    "interval_ends",
     "two_point_zero_mean",
     "extremal_from_sigma",
     "certificate_from_hankel",
@@ -86,7 +90,8 @@ class MomentInterval:
     hi: float
 
     def contains(self, m3: float, widen: float = 0.0) -> bool:
-        return self.lo - widen <= m3 <= self.hi + widen
+        """lo - widen <= m3 <= hi + widen; elementwise when the fields are arrays."""
+        return (self.lo - widen <= m3) & (m3 <= self.hi + widen)
 
 
 @dataclass(frozen=True)
@@ -123,6 +128,29 @@ def _require_feasible(mv: MomentVector) -> None:
         raise InfeasibleMomentsError("not a moment vector")
 
 
+def sqrt_bound(m2, m4):
+    """(sqrt(max(0, s2)), s2) with s2 = m4 m2 - m2^3; floats or arrays."""
+    s2 = m4 * m2 - m2**3
+    return root(floor_at(s2, 0.0)), s2
+
+
+def quarter_bound(m4):
+    """(4/27)^(1/4) m4^(3/4); float or array."""
+    return QUARTER_CONSTANT * m4**0.75
+
+
+def interval_ends(m1, m2, m4):
+    """(lo, hi, a, b): m3 ranges over m1 m2 -/+ sqrt(a b), a = Var X, b = Var X^2.
+
+    Negative a or b are clamped to 0; floats or arrays.
+    """
+    a = m2 - m1 * m1
+    b = m4 - m2 * m2
+    half = root(floor_at(a, 0.0) * floor_at(b, 0.0))
+    center = m1 * m2
+    return center - half, center + half, a, b
+
+
 def bound_trivial(mv: MomentVector) -> float:
     """The unconditional bound m4^(3/4) (best constant 1 without m1 <= 0)."""
     if mv.m4 < 0.0:
@@ -143,10 +171,9 @@ def bound_sqrt(
     if check:
         _require_feasible(mv)
     scale = mv.scale
-    s2 = mv.m4 * mv.m2 - mv.m2**3
+    bound, s2 = sqrt_bound(mv.m2, mv.m4)
     if s2 < -tol * scale:
         raise InfeasibleMomentsError("not a moment vector")
-    bound = math.sqrt(max(0.0, s2))
     slack = bound - mv.m3
     tight = abs(slack) <= tol * scale
     witness = _sqrt_witness(mv) if tight else None
@@ -175,7 +202,7 @@ def bound_quarter(
     if check:
         _require_feasible(mv)
     scale = mv.scale
-    bound = QUARTER_CONSTANT * mv.m4**0.75
+    bound = quarter_bound(mv.m4)
     slack = bound - mv.m3
     tight = abs(slack) <= tol * scale
     witness = None
@@ -199,16 +226,10 @@ def m3_interval(
     if not all(math.isfinite(v) for v in (m1, m2, m4)):
         raise ValueError("non-finite moment")
     scale = moment_scale(max(m4, 0.0))
-    a = m2 - m1 * m1
-    b = m4 - m2 * m2
+    lo, hi, a, b = interval_ends(m1, m2, m4)
     if a < -tol * scale or b < -tol * scale:
         raise InfeasibleMomentsError("infeasible (m1, m2, m4) triple")
-    d = max(0.0, a) * max(0.0, b)
-    if d < 0.0:  # unreachable after clamping, kept for clarity
-        d = 0.0
-    half = math.sqrt(d)
-    center = m1 * m2
-    return MomentInterval(lo=center - half, hi=center + half)
+    return MomentInterval(lo=lo, hi=hi)
 
 
 def two_point_zero_mean(u: float, v: float) -> DiscreteDistribution:

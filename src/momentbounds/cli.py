@@ -4,15 +4,17 @@ Subcommands: moments, bound, interval, extremal, verify.  Every command
 prints a JSON report (floats in shortest round-trip form, lossless at 17
 significant digits) to stdout and diagnostics to stderr.
 
-Exit codes: 0 success, 2 usage or parse error, 3 mathematical
-infeasibility (not a moment sequence / infeasible configuration).
-Additionally ``verify`` exits 1 when the verification itself fails.
+Exit codes: 0 success, 2 usage or parse error (numbers too large
+included), 3 mathematical infeasibility (not a moment sequence /
+infeasible configuration).  Additionally ``verify`` exits 1 when the
+verification itself fails, an uncertified oracle optimum included.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from typing import Any, Optional
 
@@ -39,7 +41,7 @@ from .moments import (
     moments_from_discrete,
     moments_from_samples,
 )
-from .oracle import OracleConfig, oracle_max_m3, random_falsifier
+from .oracle import CertificateError, OracleConfig, oracle_max_m3, random_falsifier
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -226,6 +228,8 @@ def cmd_verify(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
             "oracle_argmax": _atoms_json(oracle.argmax),
             "candidates_examined": oracle.candidates_examined,
             "constraint_residuals": list(oracle.constraint_residuals),
+            "oracle_dual": list(oracle.dual),
+            "lp_pivots": oracle.pivots,
             "falsifier": {
                 "trials": falsifier.trials,
                 "eq_sqrt_violations": falsifier.eq_sqrt_violations,
@@ -233,12 +237,19 @@ def cmd_verify(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
                 "interval_violations": falsifier.interval_violations,
                 "psd_violations": falsifier.psd_violations,
                 "worst_scaled_slack": falsifier.worst_scaled_slack,
+                "worst_trial": falsifier.worst_trial,
+                "violating_trials": list(falsifier.violating_trials),
             },
         }
     )
     ok = falsifier.total_violations == 0 and abs(gap) <= args.gap_tol
     report["verified"] = ok
     return report, EXIT_OK if ok else EXIT_VERIFY_FAILED
+
+
+#: A negative number, exponent form included: argparse alone reads
+#: "-1e-05" as an option flag.
+NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -276,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("sigma", type=float)
     p.set_defaults(func=cmd_extremal)
 
-    p = sub.add_parser("verify", help="brute-force sharpness and soundness check")
+    p = sub.add_parser("verify", help="LP-certified sharpness and randomized soundness check")
     p.add_argument("--grid-lo", type=float, default=-3.0)
     p.add_argument("--grid-hi", type=float, default=3.0)
     p.add_argument("--step", type=float, default=0.01)
@@ -286,6 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gap-tol", type=float, default=DEFAULT_GAP_TOL)
     p.set_defaults(func=cmd_verify)
 
+    for p in (parser, *sub.choices.values()):
+        p._negative_number_matcher = NEGATIVE_NUMBER
     return parser
 
 
@@ -300,6 +313,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ValueError as exc:
         print(f"momentbounds: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except OverflowError as exc:
+        print(f"momentbounds: numbers too large for double precision: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except CertificateError as exc:
+        print(f"momentbounds: {exc}", file=sys.stderr)
+        return EXIT_VERIFY_FAILED
     json.dump(report, sys.stdout, indent=2)
     print()
     return code

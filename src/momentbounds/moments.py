@@ -27,7 +27,9 @@ __all__ = [
     "moments_from_samples",
     "abs_third_moment",
     "hankel",
+    "hankel_det",
     "hankel_det_closed_form",
+    "psd_verdict",
     "feasibility",
     "scale_moments",
 ]
@@ -43,13 +45,23 @@ class InfeasibleMomentsError(ValueError):
     """The given numbers cannot be moments of any real random variable."""
 
 
-def moment_scale(m4: float) -> float:
-    """Normalization for absolute tolerances: max(1, m4^(3/2)).
+def floor_at(v, lo: float):
+    """max(v, lo) for a float, elementwise for an array (v above -inf)."""
+    return v * (v > lo) + lo * (v <= lo)
+
+
+def root(v):
+    """Correctly rounded square root of a float, elementwise of an array."""
+    return np.sqrt(v) if isinstance(v, np.ndarray) else math.sqrt(v)
+
+
+def moment_scale(m4):
+    """Normalization for absolute tolerances: max(1, m4^(3/2)); float or array.
 
     The Hankel determinant is homogeneous of degree 6 in X, and m4^(3/2)
     carries the same degree, so tol * moment_scale(m4) is scale covariant.
     """
-    return max(1.0, m4**1.5)
+    return floor_at(m4**1.5, 1.0)
 
 
 @dataclass(frozen=True)
@@ -119,14 +131,6 @@ class DiscreteDistribution:
     def point_mass(cls, x: float) -> "DiscreteDistribution":
         return cls(((x, 1.0),))
 
-    @property
-    def xs(self) -> np.ndarray:
-        return np.array([x for x, _ in self.atoms])
-
-    @property
-    def ps(self) -> np.ndarray:
-        return np.array([p for _, p in self.atoms])
-
 
 def moments_from_discrete(dist: DiscreteDistribution) -> MomentVector:
     """Raw moments m_j = sum_i p_i x_i^j for j = 0..4.
@@ -194,10 +198,27 @@ def hankel(mv: MomentVector) -> HankelMatrix:
     return HankelMatrix.from_moments(mv)
 
 
+def hankel_det(m1, m2, m3, m4):
+    """det H as the explicit polynomial in m1..m4 (m0 = 1); floats or arrays."""
+    return m4 * m2 - m2**3 - m1 * m1 * m4 + 2.0 * m1 * m2 * m3 - m3 * m3
+
+
 def hankel_det_closed_form(mv: MomentVector) -> float:
     """det H as the explicit polynomial in m1..m4 (valid for m0 = 1)."""
-    _, m1, m2, m3, m4 = mv.as_tuple()
-    return m4 * m2 - m2**3 - m1 * m1 * m4 + 2.0 * m1 * m2 * m3 - m3 * m3
+    return hankel_det(mv.m1, mv.m2, mv.m3, mv.m4)
+
+
+def psd_verdict(m1, m2, m3, m4, min_eig, tol: float = DEFAULT_PSD_TOL):
+    """(psd, d2, d3, scale) from the minors and the smallest eigenvalue of H.
+
+    PSD iff d2 = m2 - m1^2, d3 = det H and min_eig are all at least
+    -tol * scale (d1 = 1 always is).  Floats or arrays of equal shape.
+    """
+    d2 = m2 - m1 * m1
+    d3 = hankel_det(m1, m2, m3, m4)
+    scale = moment_scale(m4)
+    cut = -tol * scale
+    return (d2 >= cut) & (d3 >= cut) & (min_eig >= cut), d2, d3, scale
 
 
 @dataclass(frozen=True)
@@ -225,16 +246,9 @@ def feasibility(mv: MomentVector, tol: float = DEFAULT_PSD_TOL) -> FeasibilityRe
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    _, m1, m2, _, m4 = mv.as_tuple()
-    h = hankel(mv)
-    d1 = 1.0
-    d2 = m2 - m1 * m1
-    d3 = hankel_det_closed_form(mv)
-    min_eig = float(np.linalg.eigvalsh(h.entries)[0])
-    scale = mv.scale
-    cut = -tol * scale
-    psd = d1 >= cut and d2 >= cut and d3 >= cut and min_eig >= cut
-    return FeasibilityReport(psd=psd, det=d3, minors=(d1, d2, d3), min_eigenvalue=min_eig, scale=scale)
+    min_eig = float(np.linalg.eigvalsh(hankel(mv).entries)[0])
+    psd, d2, d3, scale = psd_verdict(mv.m1, mv.m2, mv.m3, mv.m4, min_eig, tol)
+    return FeasibilityReport(psd=psd, det=d3, minors=(1.0, d2, d3), min_eigenvalue=min_eig, scale=scale)
 
 
 def scale_moments(mv: MomentVector, lam: float) -> MomentVector:

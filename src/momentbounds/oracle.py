@@ -1,57 +1,79 @@
-"""Brute-force verification of the closed-form bounds.
+"""Independent verification of the closed-form bounds.
 
-``oracle_max_m3`` maximizes m3 over finitely supported distributions on a
-grid subject to mass, mean, and fourth-moment constraints by exhaustive
-enumeration of small supports: every vertex of the underlying linear
-program is supported on at most as many atoms as there are active
-constraints, so supports of size <= 3 suffice.  The enumeration never
-consults the closed-form bounds, which makes it an independent check of
-the sharp constant (4/27)^(1/4).
+``oracle_max_m3`` maximizes m3 over grid distributions under mass, mean and
+fourth-moment constraints; ``oracle_extreme_m3_given`` finds the range of
+m3 given (m1, m2, m4).  Both are linear programs in the grid weights,
+solved by one simplex kernel (``lp_max``), and LP duality certifies each
+optimum before it is returned (Karlin & Studden 1966, Tchebycheff
+Systems).  Neither consults the closed forms, which makes them an
+independent check of the sharp constant (4/27)^(1/4).
 
-``random_falsifier`` hammers the bounds with random discrete distributions
-and counts violations (expected: none).
+``random_falsifier`` hammers the bounds with random discrete distributions,
+drawn and evaluated in bulk, and counts violations (expected: none).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .bounds import bound_quarter, bound_sqrt, m3_interval
+from .bounds import MomentInterval, interval_ends, quarter_bound, sqrt_bound
 from .moments import (
     DiscreteDistribution,
     InfeasibleMomentsError,
-    feasibility,
-    moment_scale,
+    MomentVector,
+    floor_at,
     moments_from_discrete,
+    psd_verdict,
 )
 
 __all__ = [
+    "CertificateError",
     "OracleConfig",
     "OracleResult",
+    "LPSolution",
     "FalsifierReport",
+    "ReplayedTrial",
+    "lp_max",
+    "check_certificate",
     "oracle_max_m3",
     "oracle_extreme_m3_given",
     "random_falsifier",
+    "replay_trial",
 ]
 
-#: Weights from the small linear solves may round slightly negative;
-#: anything above this magnitude is a genuine infeasibility.
+#: Basic weights at or below this are round-off of a degenerate vertex.
 WEIGHT_CLAMP = 1e-12
 
-#: Slack allowed on the mean inequality constraint.
-M1_SLACK_TOL = 1e-10
+#: Relative round-off allowed in pricing (simplex) and in the certificate.
+PRICE_TOL = 1e-11
+CERTIFICATE_TOL = 1e-9
 
-#: Slack allowed on the fourth-moment equality (times moment_scale).
-M4_EQ_TOL = 1e-10
+#: Grid points accepted by the LP (O(n) memory) and by the support-2 pair
+#: enumeration (O(n^2) memory).
+MAX_GRID_POINTS = 1_000_001
+MAX_PAIR_GRID_POINTS = 1_201
+
+#: Trials the falsifier draws and evaluates together (bounds its memory),
+#: and violating trials a FalsifierReport lists by index.
+FALSIFIER_CHUNK = 4096
+LISTED_VIOLATIONS = 10
+
+
+class CertificateError(RuntimeError):
+    """The simplex found no optimum, or its optimum failed the primal-dual check."""
 
 
 @dataclass(frozen=True)
 class OracleConfig:
-    """Grid and constraint parameters for the enumeration."""
+    """Grid and constraint parameters of the oracles.
+
+    ``max_support=2`` restricts ``oracle_max_m3`` to pairs of grid points.
+    Oversized grids are rejected before anything is allocated.
+    """
 
     grid_lo: float = -3.0
     grid_hi: float = 3.0
@@ -69,309 +91,235 @@ class OracleConfig:
             raise ValueError("max_support must be 2 or 3")
         if not (self.m4_target > 0.0 and math.isfinite(self.m4_target)):
             raise ValueError("m4_target must be positive")
-        g = self.grid()
-        if not ((g < 0.0).any() and (g > 0.0).any()):
+        cap = MAX_PAIR_GRID_POINTS if self.max_support == 2 else MAX_GRID_POINTS
+        span = (self.grid_hi - self.grid_lo) / self.grid_step + 1e-9
+        if not span < cap:  # also rejects infinite and NaN grid ends
+            raise ValueError(f"grid of {span + 1:.3g} points exceeds the cap of {cap} "
+                             f"for max_support={self.max_support}")
+        # The same arithmetic as grid()[-1], without building the grid.
+        top = self.grid_lo + self.grid_step * (self.size - 1)
+        if not (self.grid_lo < 0.0 and top > 0.0):
             raise InfeasibleMomentsError(
                 "infeasible configuration: grid needs negative and positive points"
             )
 
+    @property
+    def size(self) -> int:
+        return int(math.floor((self.grid_hi - self.grid_lo) / self.grid_step + 1e-9)) + 1
+
     def grid(self) -> np.ndarray:
-        n = int(math.floor((self.grid_hi - self.grid_lo) / self.grid_step + 1e-9)) + 1
-        return self.grid_lo + self.grid_step * np.arange(n)
+        return self.grid_lo + self.grid_step * np.arange(self.size)
 
 
 @dataclass(frozen=True)
 class OracleResult:
-    """Maximized m3 with the optimizing grid distribution."""
+    """Maximized m3 with the optimizing grid distribution.
+
+    ``candidates_examined`` counts grid columns priced, summed over the
+    simplex iterations (pairs enumerated for ``max_support=2``).  ``dual``
+    is the certificate (y0, y1, y2), empty for ``max_support=2``:
+    y0 + y1 x + y2 x^4 >= x^3 on the grid, y1 >= 0, and
+    y0 + y1 m1_max + y2 m4_target = max_m3.
+    """
 
     max_m3: float
     argmax: DiscreteDistribution
     constraint_residuals: tuple[float, float, float]
     candidates_examined: int
+    dual: tuple[float, ...] = ()
+    pivots: int = 0
 
 
-class _Best:
-    """Running maximum with a deterministic tie-break.
+class LPSolution(NamedTuple):
+    """Primal weights x, duals y, simplex pivots and columns priced."""
 
-    Ties on the objective go to the lexicographically smallest sorted
-    support, so the result is independent of enumeration partitioning.
+    x: np.ndarray
+    y: np.ndarray
+    pivots: int
+    priced: int
+
+
+def _simplex(A, b, c, basis, n):
+    """Revised simplex from a feasible basis: max c @ x, A @ x = b, x >= 0.
+
+    Columns from ``n`` on are artificial: they never enter, and one at zero
+    blocks any pivot that would move it.  The entering column has the
+    largest reduced cost, except after more than m degenerate pivots in a
+    row, where it has the lowest index (Bland's rule) until the objective
+    moves again: only degenerate pivots can cycle, and Bland's rule cannot.
+    Ratio ties leave by lowest basis index.  Returns (inverse basis, pivots,
+    columns priced).
     """
+    m = len(b)
+    abs_a, abs_c = np.abs(A[:, :n]), np.abs(c[:n])
+    zero = PRICE_TOL * max(1.0, np.abs(b).max())
+    pivots = priced = stalled = 0
+    while True:
+        inv = np.linalg.inv(A[:, basis])
+        x_b = np.maximum(inv @ b, 0.0)
+        y = c[basis] @ inv
+        reduced = c[:n] - y @ A[:, :n]
+        reduced[[j for j in basis if j < n]] = 0.0
+        priced += n
+        enter = np.flatnonzero(reduced > PRICE_TOL * (abs_c + np.abs(y) @ abs_a))
+        if enter.size == 0:
+            return inv, pivots, priced
+        j = int(enter[0] if stalled > m else enter[np.argmax(reduced[enter])])
+        u = inv @ A[:, j]
+        pinned = (np.array(basis) >= n) & (x_b <= zero)
+        rows = np.flatnonzero((np.abs(u) > PRICE_TOL * max(1.0, np.abs(u).max())) & ((u > 0.0) | pinned))
+        if rows.size == 0:
+            raise CertificateError("unbounded linear program")
+        ratios = x_b[rows] / np.abs(u[rows])
+        step = ratios.min()
+        leave = min(rows[ratios == step], key=lambda r: basis[r])
+        stalled = stalled + 1 if step <= zero else 0
+        basis[leave] = j
+        pivots += 1
+        if pivots > 10 * (m + n):
+            raise CertificateError("simplex iteration limit reached")
 
-    def __init__(self) -> None:
-        self.value: Optional[float] = None
-        self.support: Optional[tuple[float, ...]] = None
-        self.weights: Optional[tuple[float, ...]] = None
 
-    def offer(
-        self, value: float, support: tuple[float, ...], weights: tuple[float, ...]
-    ) -> None:
-        if (
-            self.value is None
-            or value > self.value
-            or (value == self.value and support < self.support)
-        ):
-            self.value = value
-            self.support = support
-            self.weights = weights
+def lp_max(A: np.ndarray, b: np.ndarray, c: np.ndarray) -> Optional[LPSolution]:
+    """Maximize c @ x subject to A @ x = b, x >= 0; None if infeasible.
+
+    Dense two-phase revised simplex: phase 1 minimizes the sum of artificial
+    columns, phase 2 starts from its basis.  An artificial still basic at
+    the end sits at zero on a redundant row, whose dual is 0.  Rows and the
+    objective are scaled to unit magnitude first (and b made nonnegative),
+    so the tolerances are relative.  Deterministic.
+    """
+    m, n = A.shape
+    row_max = np.abs(A).max(axis=1)
+    rows = np.where(b < 0.0, -1.0, 1.0) / np.where(row_max > 0.0, row_max, 1.0)
+    size_c = max(np.abs(c).max(), np.finfo(float).tiny)
+    A1 = np.hstack([A * rows[:, None], np.eye(m)])
+    b1 = b * rows
+    basis = list(range(n, n + m))
+    inv, pivots, priced = _simplex(A1, b1, np.r_[np.zeros(n), -np.ones(m)], basis, n)
+    if sum(v for v, j in zip(inv @ b1, basis) if j >= n) > CERTIFICATE_TOL * max(1.0, np.abs(b1).max()):
+        return None
+    c1 = np.r_[c / size_c, np.zeros(m)]
+    inv, more_pivots, more_priced = _simplex(A1, b1, c1, basis, n)
+    x = np.zeros(n + m)
+    x[basis] = inv @ b1
+    x = np.where(x[:n] > WEIGHT_CLAMP, x[:n], 0.0)
+    y = (c1[basis] @ inv) * rows * size_c
+    return LPSolution(x, y, pivots + more_pivots, priced + more_priced)
 
 
-def _offer_chunk(
-    best: _Best,
-    m3: np.ndarray,
-    mask: np.ndarray,
-    supports: tuple[np.ndarray, ...],
-    weights: tuple[np.ndarray, ...],
-) -> None:
-    if not mask.any():
-        return
-    vals = np.where(mask, m3, -np.inf)
-    vmax = float(vals.max())
-    for idx in np.flatnonzero(vals == vmax):
-        best.offer(
-            vmax,
-            tuple(float(s[idx]) for s in supports),
-            tuple(float(w[idx]) for w in weights),
-        )
+def check_certificate(A, b, c, x, y) -> None:
+    """Raise CertificateError unless (x, y) prove x optimal for max c @ x, A x = b, x >= 0.
+
+    Checks x >= 0, A x = b, A^T y >= c on every column and c @ x = b @ y,
+    each to CERTIFICATE_TOL relative to the magnitudes of its terms.
+    """
+    tol = CERTIFICATE_TOL
+    abs_a = np.abs(A)
+    checks = {
+        "primal": (x >= 0.0).all() and (np.abs(A @ x - b) <= tol * (abs_a @ x + np.abs(b))).all(),
+        "dual": (y @ A - c >= -tol * (np.abs(c) + np.abs(y) @ abs_a)).all(),
+        "gap": abs(c @ x - b @ y) <= tol * (np.abs(c) @ x + np.abs(b) @ np.abs(y)),
+    }
+    failed = [name for name, ok in checks.items() if not ok]
+    if failed:
+        raise CertificateError(f"LP certificate failed: {', '.join(failed)} check")
+
+
+def _certified_max(A, b, c, infeasible: str) -> LPSolution:
+    sol = lp_max(A, b, c)
+    if sol is None:
+        raise InfeasibleMomentsError(infeasible)
+    check_certificate(A, b, c, sol.x, sol.y)
+    return sol
+
+
+def _result(cfg: OracleConfig, xs, ps, m3: float, examined: int, **lp) -> OracleResult:
+    argmax = DiscreteDistribution.from_pairs(zip(xs, ps))
+    mv = moments_from_discrete(argmax)
+    residuals = (mv.m0 - 1.0, mv.m1 - cfg.m1_max, mv.m4 - cfg.m4_target)
+    return OracleResult(m3, argmax, residuals, examined, **lp)
 
 
 def oracle_max_m3(cfg: OracleConfig) -> OracleResult:
     """Maximize m3 over grid distributions with sum p = 1, m1 <= m1_max, m4 = m4_target.
 
-    Enumerates supports of size 1 and 2 (mean constraint slack or tight)
-    and, when max_support = 3, size-3 supports with the mean constraint
-    active; these cover every vertex of the LP.  Deterministic.
+    One certified LP: rows mass, mean (plus a slack column) and m4, a
+    column per grid point.  ``max_support=2`` enumerates pairs instead.
     """
     g = cfg.grid()
-    q = g**4
-    c = g**3
-    target = cfg.m4_target
+    if cfg.max_support == 2:
+        return _max_m3_pairs(cfg, g)
+    A = np.hstack([np.vstack([np.ones_like(g), g, g**4]), [[0.0], [1.0], [0.0]]])
+    b = np.array([1.0, cfg.m1_max, cfg.m4_target])
+    c = np.r_[g**3, 0.0]
+    sol = _certified_max(A, b, c, "infeasible configuration")
+    support = np.flatnonzero(sol.x[:-1])
+    m3 = math.fsum(c[support] * sol.x[support])
+    dual = tuple(float(v) for v in sol.y)
+    return _result(cfg, g[support], sol.x[support], m3, sol.priced, dual=dual, pivots=sol.pivots)
+
+
+def _max_m3_pairs(cfg: OracleConfig, g: np.ndarray) -> OracleResult:
+    """Best law on at most two grid points, by enumerating every pair.
+
+    Weights solve {mass, m4} (the mean then checked as an inequality) or
+    {mass, mean = m1_max} (the m4 residual then required to be exactly 0),
+    so every admitted pair is a feasible point of the LP and the LP optimum
+    dominates the result.  Ties go to the first pair in enumeration order.
+    """
     t = cfg.m1_max
-    scale = moment_scale(target)
-    m4_tol = M4_EQ_TOL * scale
-    best = _Best()
-    examined = 0
-
-    # Size 1: the whole mass on one grid point.
-    mask1 = (np.abs(q - target) <= m4_tol) & (g <= t + M1_SLACK_TOL)
-    examined += g.size
-    _offer_chunk(best, c, mask1, (g,), (np.ones_like(g),))
-
-    # Size 2, constraints {mass, m4}; mean checked as an inequality.
+    target = cfg.m4_target
     ii, jj = np.triu_indices(g.size, 1)
     xi, xj = g[ii], g[jj]
-    qi, qj = q[ii], q[jj]
-    den = qi - qj
+    qi, qj = (g**4)[ii], (g**4)[jj]
+    ci, cj = (g**3)[ii], (g**3)[jj]
     with np.errstate(divide="ignore", invalid="ignore"):
-        pi = (target - qj) / den
-        pj = 1.0 - pi
-        m1 = pi * xi + pj * xj
-        m3 = pi * c[ii] + pj * c[jj]
-        r4 = pi * qi + pj * qj - target
-    mask2 = (
-        np.isfinite(pi)
-        & (pi >= -WEIGHT_CLAMP)
-        & (pj >= -WEIGHT_CLAMP)
-        & (m1 <= t + M1_SLACK_TOL)
-        & (np.abs(r4) <= m4_tol)
-    )
-    examined += ii.size
-    _offer_chunk(best, m3, mask2, (xi, xj), (pi, pj))
-
-    # Size 2, constraints {mass, mean}; m4 must then match by accident.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        pi = (xj - t) / (xj - xi)
-        pj = 1.0 - pi
-        m3 = pi * c[ii] + pj * c[jj]
-        r4 = pi * qi + pj * qj - target
-    mask2b = (
-        np.isfinite(pi)
-        & (pi >= -WEIGHT_CLAMP)
-        & (pj >= -WEIGHT_CLAMP)
-        & (np.abs(r4) <= m4_tol)
-    )
-    examined += ii.size
-    _offer_chunk(best, m3, mask2b, (xi, xj), (pi, pj))
-
-    if cfg.max_support >= 3:
-        examined += _enumerate_triples_mean_tight(cfg, g, q, c, best)
-
-    if best.value is None:
+        p_m4 = (target - qj) / (qi - qj)
+        p_mean = (xj - t) / (xj - xi)
+    families = ((p_m4, p_m4 * xi + (1.0 - p_m4) * xj <= t), (p_mean, p_mean * qi + (1.0 - p_mean) * qj == target))
+    best = (-np.inf, 0, 0.0)
+    for p, feasible in families:
+        m3 = np.where((p >= 0.0) & (p <= 1.0) & feasible, p * ci + (1.0 - p) * cj, -np.inf)
+        k = int(np.argmax(m3))
+        if m3[k] > best[0]:
+            best = (float(m3[k]), k, float(p[k]))
+    m3, k, p = best
+    if m3 == -np.inf:
         raise InfeasibleMomentsError("infeasible configuration")
-
-    argmax = _distribution_from_candidate(best.support, best.weights)
-    mv = moments_from_discrete(argmax)
-    residuals = (mv.m0 - 1.0, mv.m1 - t, mv.m4 - target)
-    return OracleResult(
-        max_m3=float(best.value),
-        argmax=argmax,
-        constraint_residuals=residuals,
-        candidates_examined=examined,
-    )
-
-
-def _enumerate_triples_mean_tight(
-    cfg: OracleConfig, g: np.ndarray, q: np.ndarray, c: np.ndarray, best: _Best
-) -> int:
-    """Supports {x1 < x2 < x3} with constraints {mass, mean = m1_max, m4}.
-
-    Solved per triple by Cramer's rule, vectorized over (x2, x3) for each
-    x1.  With weights >= 0 the mean constraint needs x1 <= m1_max <= x3,
-    which prunes most first atoms.
-    """
-    target = cfg.m4_target
-    t = cfg.m1_max
-    m4_tol = M4_EQ_TOL * moment_scale(target)
-    n = g.size
-    examined = 0
-    for i in range(n - 2):
-        x1 = g[i]
-        if x1 > t + M1_SLACK_TOL:
-            break
-        jj, kk = np.triu_indices(n - i - 1, 1)
-        jj += i + 1
-        kk += i + 1
-        keep = g[kk] >= t - M1_SLACK_TOL
-        jj, kk = jj[keep], kk[keep]
-        if jj.size == 0:
-            continue
-        x2, x3 = g[jj], g[kk]
-        q1, q2, q3 = q[i], q[jj], q[kk]
-        det = (x2 * q3 - x3 * q2) - (x1 * q3 - x3 * q1) + (x1 * q2 - x2 * q1)
-        d1 = (x2 * q3 - x3 * q2) - (t * q3 - x3 * target) + (t * q2 - x2 * target)
-        d2 = (t * q3 - x3 * target) - (x1 * q3 - x3 * q1) + (x1 * target - t * q1)
-        d3 = (x2 * target - t * q2) - (x1 * target - t * q1) + (x1 * q2 - x2 * q1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            p1 = d1 / det
-            p2 = d2 / det
-            p3 = d3 / det
-            m1 = p1 * x1 + p2 * x2 + p3 * x3
-            r4 = p1 * q1 + p2 * q2 + p3 * q3 - target
-            m3 = p1 * c[i] + p2 * c[jj] + p3 * c[kk]
-        mask = (
-            np.isfinite(p1)
-            & np.isfinite(p2)
-            & np.isfinite(p3)
-            & (p1 >= -WEIGHT_CLAMP)
-            & (p2 >= -WEIGHT_CLAMP)
-            & (p3 >= -WEIGHT_CLAMP)
-            & (m1 <= t + M1_SLACK_TOL)
-            & (np.abs(r4) <= m4_tol)
-        )
-        examined += jj.size
-        _offer_chunk(
-            best,
-            m3,
-            mask,
-            (np.full_like(x2, x1), x2, x3),
-            (p1, p2, p3),
-        )
-    return examined
-
-
-def _distribution_from_candidate(
-    support: tuple[float, ...], weights: tuple[float, ...]
-) -> DiscreteDistribution:
-    pairs = [(x, max(0.0, p)) for x, p in zip(support, weights)]
-    return DiscreteDistribution.from_pairs(pairs)
+    xs, ps = zip(*[(x, w) for x, w in ((xi[k], p), (xj[k], 1.0 - p)) if w > 0.0])
+    return _result(cfg, xs, ps, m3, 2 * ii.size)
 
 
 def oracle_extreme_m3_given(
     m1: float, m2: float, m4: float, cfg: OracleConfig
 ) -> tuple[float, float]:
-    """Observed min and max of m3 over grid distributions matching (m1, m2, m4).
+    """Min and max of m3 over grid distributions matching (m1, m2, m4) exactly.
 
-    Four constraints with at most three atoms cannot always be met exactly
-    on a grid, so supports solving {mass, m1, m2} exactly are admitted when
-    the m4 residual is within a grid-resolution tolerance.  The returned
-    range brackets ``m3_interval(m1, m2, m4)`` from inside up to that
-    resolution.
+    Two certified LPs (max m3, max -m3) with rows mass, m1, m2 and m4; the
+    range lies inside ``m3_interval`` and fills it as the grid is refined.
     """
-    m3_interval(m1, m2, m4)  # validates feasibility of the triple
+    if not all(math.isfinite(v) for v in (m1, m2, m4)):
+        raise ValueError("non-finite moment")
     g = cfg.grid()
-    s = g**2
-    q = g**4
+    A = np.vstack([np.ones_like(g), g, g**2, g**4])
+    b = np.array([1.0, m1, m2, m4])
     c = g**3
-    admit4 = max(1e-9, 0.25 * cfg.grid_step) * max(1.0, abs(m4))
-    admit_lo = max(1e-9, 0.25 * cfg.grid_step)
-    lo_best = np.inf
-    hi_best = -np.inf
-    found = False
-
-    # Size 1: x must match all of m1, m2, m4.
-    mask = (
-        (np.abs(g - m1) <= admit_lo)
-        & (np.abs(s - m2) <= admit_lo * max(1.0, abs(m2)))
-        & (np.abs(q - m4) <= admit4)
-    )
-    if mask.any():
-        found = True
-        lo_best = min(lo_best, float(c[mask].min()))
-        hi_best = max(hi_best, float(c[mask].max()))
-
-    # Size 2: solve {mass, m1}; admit on m2 and m4 residuals.
-    ii, jj = np.triu_indices(g.size, 1)
-    xi, xj = g[ii], g[jj]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        pi = (xj - m1) / (xj - xi)
-        pj = 1.0 - pi
-        r2 = pi * s[ii] + pj * s[jj] - m2
-        r4 = pi * q[ii] + pj * q[jj] - m4
-        m3 = pi * c[ii] + pj * c[jj]
-    mask = (
-        np.isfinite(pi)
-        & (pi >= -WEIGHT_CLAMP)
-        & (pj >= -WEIGHT_CLAMP)
-        & (np.abs(r2) <= admit_lo * max(1.0, abs(m2)))
-        & (np.abs(r4) <= admit4)
-    )
-    if mask.any():
-        found = True
-        lo_best = min(lo_best, float(m3[mask].min()))
-        hi_best = max(hi_best, float(m3[mask].max()))
-
-    # Size 3: solve {mass, m1, m2} exactly (Vandermonde, always regular
-    # for distinct points); admit on the m4 residual.
-    if cfg.max_support >= 3:
-        n = g.size
-        for i in range(n - 2):
-            x1 = g[i]
-            jj, kk = np.triu_indices(n - i - 1, 1)
-            jj += i + 1
-            kk += i + 1
-            x2, x3 = g[jj], g[kk]
-            s1, s2v, s3v = s[i], s[jj], s[kk]
-            det = (x2 - x1) * (x3 - x1) * (x3 - x2)
-            d1 = (x2 * s3v - x3 * s2v) - (m1 * s3v - x3 * m2) + (m1 * s2v - x2 * m2)
-            d2 = (m1 * s3v - x3 * m2) - (x1 * s3v - x3 * s1) + (x1 * m2 - m1 * s1)
-            d3 = (x2 * m2 - m1 * s2v) - (x1 * m2 - m1 * s1) + (x1 * s2v - x2 * s1)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                p1 = d1 / det
-                p2 = d2 / det
-                p3 = d3 / det
-                r4 = p1 * q[i] + p2 * q[jj] + p3 * q[kk] - m4
-                m3 = p1 * c[i] + p2 * c[jj] + p3 * c[kk]
-            mask = (
-                np.isfinite(p1)
-                & np.isfinite(p2)
-                & np.isfinite(p3)
-                & (p1 >= -WEIGHT_CLAMP)
-                & (p2 >= -WEIGHT_CLAMP)
-                & (p3 >= -WEIGHT_CLAMP)
-                & (np.abs(r4) <= admit4)
-            )
-            if mask.any():
-                found = True
-                lo_best = min(lo_best, float(m3[mask].min()))
-                hi_best = max(hi_best, float(m3[mask].max()))
-
-    if not found:
-        raise InfeasibleMomentsError("grid cannot represent the moment triple")
-    return lo_best, hi_best
+    ends = []
+    for sign in (-1.0, 1.0):
+        sol = _certified_max(A, b, sign * c, "grid cannot represent the moment triple")
+        support = np.flatnonzero(sol.x)
+        ends.append(math.fsum(c[support] * sol.x[support]))
+    return ends[0], ends[1]
 
 
 @dataclass(frozen=True)
 class FalsifierReport:
-    """Violation counts from randomized stress-testing of the bounds."""
+    """Violation counts from randomized stress-testing of the bounds.
+
+    ``worst_trial`` has the smallest scaled margin (``worst_scaled_slack``);
+    ``replay_trial`` rebuilds any trial from (seed, index).
+    """
 
     trials: int
     seed: int
@@ -381,6 +329,8 @@ class FalsifierReport:
     interval_violations: int
     psd_violations: int
     worst_scaled_slack: float
+    worst_trial: int
+    violating_trials: tuple[int, ...]
 
     @property
     def total_violations(self) -> int:
@@ -392,55 +342,116 @@ class FalsifierReport:
         )
 
 
+class ReplayedTrial(NamedTuple):
+    """One falsifier trial: its law, the moments and scaled margin the falsifier computed."""
+
+    law: DiscreteDistribution
+    moments: MomentVector
+    scaled_margin: float
+
+
+def _stream(seed: int, skip: int = 0) -> np.random.Generator:
+    """The falsifier's uniforms for ``seed``, advanced past ``skip`` of them.
+
+    Each uniform takes one 64-bit draw, so trial i starts at draw
+    i * (2 * atom_budget + 1) however the trials are chunked.
+    """
+    bits = np.random.PCG64(seed)
+    bits.advance(skip)
+    return np.random.Generator(bits)
+
+
+def _trial_laws(u: np.ndarray, atom_budget: int) -> tuple[np.ndarray, np.ndarray]:
+    """Atoms and weights of the trials in the rows of u, padded with zero weights.
+
+    Column 0 picks the atom count k in 2..atom_budget, column 1 a jitter in
+    [1e-9, 1e-6), the next atom_budget columns atoms uniform on [-5, 5),
+    the last atom_budget - 1 cut points whose spacings are Dirichlet(1)
+    weights (unused cuts sit at 1).  Atoms are shifted left until the mean
+    is just below zero: unlike rejection, this keeps draws close to the
+    m1 = 0 boundary where the bounds are sharp.
+    """
+    k = 2 + (u[:, 0] * (atom_budget - 1)).astype(np.int64)
+    jitter = 1e-9 + (1e-6 - 1e-9) * u[:, 1]
+    xs = -5.0 + 10.0 * u[:, 2 : 2 + atom_budget]
+    cuts = np.where(np.arange(atom_budget - 1) < (k - 1)[:, None], u[:, 2 + atom_budget :], 1.0)
+    cuts.sort(axis=1)
+    ws = np.diff(cuts, axis=1, prepend=0.0, append=1.0)
+    mean = _row_sums(ws * xs)
+    return xs - (floor_at(mean, 0.0) + jitter)[:, None], ws
+
+
+def _row_sums(a: np.ndarray) -> np.ndarray:
+    """Row sums added column by column, in a fixed order (bit-reproducible)."""
+    total = a[:, 0].copy()
+    for j in range(1, a.shape[1]):
+        total += a[:, j]
+    return total
+
+
+def _evaluate(xs: np.ndarray, ws: np.ndarray, tol: float):
+    """Moments, scaled margins and violation flags (rows sqrt, quarter, interval, psd).
+
+    The bounds come from the formula helpers the scalar API uses, so the
+    falsifier tests the shipped arithmetic.
+    """
+    moments = [np.ones(len(xs))]
+    terms = ws
+    for _ in range(4):
+        terms = terms * xs
+        moments.append(_row_sums(terms))
+    _, m1, m2, m3, m4 = moments
+    hankel = np.stack([np.stack(moments[i : i + 3], axis=-1) for i in range(3)], axis=-2)
+    psd, _, _, scale = psd_verdict(m1, m2, m3, m4, np.linalg.eigvalsh(hankel)[:, 0])
+    slack_sqrt = sqrt_bound(m2, m4)[0] - m3
+    slack_quarter = quarter_bound(m4) - m3
+    lo, hi, _, _ = interval_ends(m1, m2, m4)
+    cut = tol * scale
+    margin = np.minimum.reduce([slack_sqrt, slack_quarter, m3 - lo, hi - m3]) / scale
+    outside = ~MomentInterval(lo, hi).contains(m3, cut)
+    return moments, margin, np.stack([slack_sqrt < -cut, slack_quarter < -cut, outside, ~psd])
+
+
 def random_falsifier(
     trials: int, seed: int, atom_budget: int = 8, tol: float = 1e-9
 ) -> FalsifierReport:
     """Stress-test the bounds on random discrete distributions.
 
-    Each trial draws up to ``atom_budget`` atoms uniform on [-5, 5] with
-    Dirichlet(1) weights, shifted left so the mean is (just barely)
-    nonpositive; shifting rather than rejection keeps draws close to the
-    m1 = 0 boundary where the bounds are sharp.  Fully reproducible from
-    ``seed``.
+    Each trial draws up to ``atom_budget`` atoms (see ``_trial_laws``).
+    Trials go in chunks of FALSIFIER_CHUNK; the result is the same for any
+    chunk size and fully reproducible from ``seed``.
     """
     if trials <= 0:
         raise ValueError("trials must be positive")
     if atom_budget < 2:
         raise ValueError("atom_budget must be at least 2")
-    rng = np.random.default_rng(seed)
-    viol_sqrt = viol_quarter = viol_interval = viol_psd = 0
-    worst = np.inf
-    for _ in range(trials):
-        k = int(rng.integers(2, atom_budget + 1))
-        xs = rng.uniform(-5.0, 5.0, size=k)
-        ws = rng.dirichlet(np.ones(k))
-        mean = float(xs @ ws)
-        jitter = float(rng.uniform(1e-9, 1e-6))
-        xs = xs - max(0.0, mean) - jitter
-        dist = DiscreteDistribution.from_pairs(zip(xs, ws))
-        mv = moments_from_discrete(dist)
-        scale = mv.scale
-        cut = tol * scale
-        if not feasibility(mv).psd:
-            viol_psd += 1
-        r1 = bound_sqrt(mv, check=False)
-        r2 = bound_quarter(mv, check=False)
-        iv = m3_interval(mv.m1, mv.m2, mv.m4)
-        margin = min(r1.slack, r2.slack, mv.m3 - iv.lo, iv.hi - mv.m3)
-        worst = min(worst, margin / scale)
-        if r1.slack < -cut:
-            viol_sqrt += 1
-        if r2.slack < -cut:
-            viol_quarter += 1
-        if not iv.contains(mv.m3, widen=cut):
-            viol_interval += 1
+    rng = _stream(seed)
+    counts = np.zeros(4, dtype=np.int64)
+    worst, worst_trial = math.inf, 0
+    listed: list[int] = []
+    for start in range(0, trials, FALSIFIER_CHUNK):
+        u = rng.random((min(FALSIFIER_CHUNK, trials - start), 2 * atom_budget + 1))
+        _, margin, flags = _evaluate(*_trial_laws(u, atom_budget), tol)
+        counts += flags.sum(axis=1)
+        k = int(np.argmin(margin))
+        if margin[k] < worst:
+            worst, worst_trial = float(margin[k]), start + k
+        bad = np.flatnonzero(flags.any(axis=0))[: LISTED_VIOLATIONS - len(listed)]
+        listed.extend(int(start + i) for i in bad)
+    sqrt_v, quarter_v, interval_v, psd_v = (int(v) for v in counts)
     return FalsifierReport(
-        trials=trials,
-        seed=seed,
-        atom_budget=atom_budget,
-        eq_sqrt_violations=viol_sqrt,
-        eq_quarter_violations=viol_quarter,
-        interval_violations=viol_interval,
-        psd_violations=viol_psd,
-        worst_scaled_slack=float(worst),
+        trials, seed, atom_budget, sqrt_v, quarter_v, interval_v, psd_v, worst, worst_trial, tuple(listed)
     )
+
+
+def replay_trial(seed: int, index: int, atom_budget: int = 8) -> ReplayedTrial:
+    """Trial ``index`` of ``random_falsifier(..., seed, atom_budget)``, rebuilt
+    by the falsifier's own arithmetic: its moments and margin are the ones seen."""
+    if index < 0:
+        raise ValueError("index must be nonnegative")
+    width = 2 * atom_budget + 1
+    xs, ws = _trial_laws(_stream(seed, index * width).random((1, width)), atom_budget)
+    moments, margin, _ = _evaluate(xs, ws, 0.0)
+    law = DiscreteDistribution.from_pairs((x, w) for x, w in zip(xs[0], ws[0]) if w > 0.0)
+    mv = MomentVector(*(float(m[0]) for m in moments))
+    return ReplayedTrial(law, mv, float(margin[0]))

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from momentbounds import oracle
 from momentbounds.cli import main
 
 
@@ -50,6 +51,11 @@ class TestMomentsCommand:
         assert code == 0
         assert report["moments"]["m1"] == pytest.approx(2.0)
 
+    def test_negative_exponent_samples(self, capsys):
+        code, report, _ = run(capsys, "moments", "--samples", "-1e-05", "1", "-2E+00")
+        assert code == 0
+        assert report["input"]["samples"] == [-1e-05, 1.0, -2.0]
+
     def test_unknown_keys_rejected(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"atoms": [{"x": 0.0, "p": 1.0, "extra": 1}]}))
@@ -89,6 +95,17 @@ class TestBoundCommand:
         assert "sqrt" not in report["bounds"]
         assert "interval" in report
 
+    def test_negative_exponent_moments(self, capsys):
+        code, report, _ = run(capsys, "bound", "--moments", "1", "-1e-05", "1", "0", "2")
+        assert code == 0
+        assert report["moments"]["m1"] == -1e-05
+
+    def test_overflow_exits_2(self, capsys):
+        code, report, err = run(capsys, "bound", "--moments", "1", "0", "1e150", "0", "1e300")
+        assert code == 2
+        assert report is None
+        assert err.count("\n") == 1 and "too large" in err
+
     def test_report_round_trip(self, capsys):
         code, first, _ = run(capsys, "bound", "--moments", "1", "-0.25", "1.5", "0.3", "4.5")
         m = first["moments"]
@@ -117,6 +134,12 @@ class TestIntervalCommand:
         assert report["interval"]["lo"] == pytest.approx(-1.0)
         assert report["interval"]["hi"] == pytest.approx(1.0)
 
+    def test_negative_exponent(self, capsys):
+        code, report, _ = run(capsys, "interval", "-1e-05", "1", "2")
+        assert code == 0
+        assert report["input"]["m1"] == -1e-05
+        assert report["interval"]["lo"] == pytest.approx(-1e-05 - 1.0, abs=1e-9)
+
     def test_infeasible(self, capsys):
         code, _, err = run(capsys, "interval", "1", "0.5", "1")
         assert code == 3
@@ -140,6 +163,11 @@ class TestExtremalCommand:
         code, _, err = run(capsys, "extremal", "--", "-1")
         assert code == 2
 
+    def test_negative_exponent_sigma_is_a_value(self, capsys):
+        code, _, err = run(capsys, "extremal", "-1e-05")
+        assert code == 2
+        assert "sigma must be positive" in err
+
 
 class TestVerifyCommand:
     def test_coarse_run_passes(self, capsys):
@@ -152,6 +180,27 @@ class TestVerifyCommand:
         assert code == 0
         assert report["verified"] is True
         assert report["falsifier"]["eq_sqrt_violations"] == 0
+        assert 0 <= report["falsifier"]["worst_trial"] < 500
+        assert report["falsifier"]["violating_trials"] == []
+        assert report["lp_pivots"] > 0
+        y0, y1, y2 = report["oracle_dual"]
+        assert y0 + y1 * 0.0 + y2 * 1.0 == pytest.approx(report["oracle_max_m3"], abs=1e-12)
+
+    def test_oversized_grid_exit_2(self, capsys):
+        code, report, err = run(capsys, "verify", "--step", "1e-9")
+        assert code == 2
+        assert report is None
+        assert "exceeds the cap" in err
+
+    def test_uncertified_optimum_exit_1(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise oracle.CertificateError("LP certificate failed: dual check")
+
+        monkeypatch.setattr(oracle, "check_certificate", refuse)
+        code, report, err = run(capsys, "verify", "--step", "0.1", "--trials", "10")
+        assert code == 1
+        assert report is None
+        assert "certificate failed" in err
 
     def test_degenerate_grid_exit_3(self, capsys):
         code, _, err = run(capsys, "verify", "--step", "10")

@@ -1,20 +1,69 @@
 import math
+from fractions import Fraction
+from itertools import combinations
 
+import numpy as np
 import pytest
 
 from momentbounds import (
     QUARTER_CONSTANT,
+    CertificateError,
     InfeasibleMomentsError,
     OracleConfig,
     bound_quarter,
+    bound_sqrt,
+    check_certificate,
+    lp_max,
+    m3_interval,
     moments_from_discrete,
     oracle_extreme_m3_given,
     oracle_max_m3,
     random_falsifier,
+    replay_trial,
     two_point_zero_mean,
 )
+from momentbounds import oracle
 
 COARSE = OracleConfig(grid_lo=-2.0, grid_hi=2.0, grid_step=0.1)
+
+#: Every grid point of [-2, 2] at step 1/4, exactly.
+QUARTER_GRID = [Fraction(k, 4) for k in range(-8, 9)]
+
+
+def exact_solve(columns, rhs):
+    """Weights w with sum_j w_j columns[j] = rhs in exact arithmetic, or None if singular."""
+    m = len(rhs)
+    rows = [[col[i] for col in columns] + [rhs[i]] for i in range(m)]
+    for k in range(m):
+        pivot = next((r for r in range(k, m) if rows[r][k] != 0), None)
+        if pivot is None:
+            return None
+        rows[k], rows[pivot] = rows[pivot], rows[k]
+        for r in range(m):
+            if r != k and rows[r][k] != 0:
+                f = rows[r][k] / rows[k][k]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[k])]
+    return [rows[k][m] / rows[k][k] for k in range(m)]
+
+
+def basic_feasible_values(columns, costs, rhs):
+    """Objective at every basic feasible solution, each basis solved in Fractions.
+
+    The LP's optimum is the best of these: supports of size up to len(rhs).
+    """
+    values = []
+    for basis in combinations(range(len(columns)), len(rhs)):
+        w = exact_solve([columns[j] for j in basis], rhs)
+        if w is not None and min(w) >= 0:
+            values.append(sum(costs[j] * wj for j, wj in zip(basis, w)))
+    return values
+
+
+def certificate_parts(cfg):
+    """The LP of oracle_max_m3 on cfg's grid, as the oracle builds it."""
+    g = cfg.grid()
+    A = np.hstack([np.vstack([np.ones_like(g), g, g**4]), [[0.0], [1.0], [0.0]]])
+    return A, np.array([1.0, cfg.m1_max, cfg.m4_target]), np.r_[g**3, 0.0]
 
 
 class TestOracleConfig:
@@ -38,6 +87,23 @@ class TestOracleConfig:
     def test_one_sided_grid_infeasible(self):
         with pytest.raises(InfeasibleMomentsError):
             OracleConfig(grid_lo=-3.0, grid_hi=3.0, grid_step=10.0)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"grid_step": 1e-9},
+            {"grid_step": 5e-324},
+            {"grid_lo": -math.inf},
+            {"grid_step": 0.001, "max_support": 2},
+        ],
+    )
+    def test_oversized_grid_rejected_before_allocation(self, kwargs):
+        with pytest.raises(ValueError, match="exceeds the cap"):
+            OracleConfig(**kwargs)
+
+    def test_caps_are_per_path(self):
+        assert OracleConfig(grid_step=0.001).size == 6001
+        assert OracleConfig(grid_step=0.005, max_support=2).size == 1201
 
 
 class TestOracleMaxM3:
@@ -72,6 +138,115 @@ class TestOracleMaxM3:
         assert a.argmax == b.argmax
         assert a.candidates_examined == b.candidates_examined
 
+    def test_default_grid_optimum_and_dual(self):
+        cfg = OracleConfig()
+        res = oracle_max_m3(cfg)
+        # the optimum of exhaustive support enumeration on this grid
+        assert res.max_m3 == pytest.approx(0.6203825005110042, abs=1e-12)
+        assert [x for x, _ in res.argmax.atoms] == pytest.approx([-0.40, -0.39, 1.47], abs=1e-12)
+        y0, y1, y2 = res.dual
+        g = cfg.grid()
+        assert (y0 + y1 * g + y2 * g**4 >= g**3 - 1e-9).all()
+        assert y1 >= 0.0
+        assert y0 + y1 * cfg.m1_max + y2 * cfg.m4_target == pytest.approx(res.max_m3, abs=1e-12)
+        assert res.pivots > 0
+        assert res.candidates_examined >= (g.size + 1) * res.pivots
+
+    @pytest.mark.parametrize("m4_target, m1_max", [(1.0, 0.0), (2.5, 0.0), (1.0, -0.25), (0.5, 0.5)])
+    def test_matches_exact_brute_force(self, m4_target, m1_max):
+        cfg = OracleConfig(grid_lo=-2.0, grid_hi=2.0, grid_step=0.25, m4_target=m4_target, m1_max=m1_max)
+        columns = [(1, x, x**4) for x in QUARTER_GRID] + [(0, 1, 0)]
+        costs = [x**3 for x in QUARTER_GRID] + [0]
+        rhs = (1, Fraction(m1_max), Fraction(m4_target))
+        exact = max(basic_feasible_values(columns, costs, rhs))
+        assert oracle_max_m3(cfg).max_m3 == pytest.approx(float(exact), abs=1e-12)
+
+    def test_matches_highs(self):
+        linprog = pytest.importorskip("scipy.optimize").linprog
+        cfg = OracleConfig()
+        A, b, c = certificate_parts(cfg)
+        ref = linprog(-c, A_eq=A, b_eq=b, bounds=(0, None), method="highs")
+        assert ref.status == 0
+        assert oracle_max_m3(cfg).max_m3 == pytest.approx(-ref.fun, abs=1e-9)
+        for triple in [(0.0, 1.0, 2.0), (-0.5, 1.0, 2.0)]:
+            g = cfg.grid()
+            A4 = np.vstack([np.ones_like(g), g, g**2, g**4])
+            ends = [
+                sign * linprog(-sign * g**3, A_eq=A4, b_eq=[1.0, *triple], bounds=(0, None), method="highs").fun
+                for sign in (1.0, -1.0)
+            ]
+            assert oracle_extreme_m3_given(*triple, cfg) == pytest.approx((-ends[1], -ends[0]), abs=1e-9)
+
+    @pytest.mark.parametrize("lam", [1e-3, 1e3])
+    def test_scale_covariant(self, lam):
+        # the LP is solved with rows scaled to unit size, so tolerances hold at any scale
+        def cfg(s):
+            return OracleConfig(grid_lo=-3.0 * s, grid_hi=3.0 * s, grid_step=0.01 * s, m4_target=s**4)
+
+        assert oracle_max_m3(cfg(lam)).max_m3 == pytest.approx(lam**3 * oracle_max_m3(cfg(1.0)).max_m3, rel=1e-9)
+        lo, hi = oracle_extreme_m3_given(0.0, lam**2, 2.0 * lam**4, cfg(lam))
+        unit = oracle_extreme_m3_given(0.0, 1.0, 2.0, cfg(1.0))
+        assert (lo, hi) == pytest.approx((lam**3 * unit[0], lam**3 * unit[1]), rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "lo, hi, step, m4, m1",
+        [
+            (-0.0012531248766735358, 0.0016831049842557769, 5.582002723685248e-06, 1.5117364538376941e-12, -0.00023582121524358564),
+            (-0.0009608648027122831, 0.0009973839377670148, 0.00028108680310746155, 1.1369859257706048e-12, -0.0003877336450632484),
+            (-0.003066227188996534, 0.003229170098895171, 4.821039976873388e-05, 5.533586076422926e-10, -0.0003210537863131161),
+        ],
+    )
+    def test_tiny_scale_agrees_with_unit_scale(self, lo, hi, step, m4, m1):
+        # rows of very different sizes (x^4 ~ 1e-12 against mass 1) need the LP's row scaling;
+        # the last two grids cannot reach m4 and must be found infeasible at both scales
+        s = m4**0.25
+        tiny = OracleConfig(grid_lo=lo, grid_hi=hi, grid_step=step, m4_target=m4, m1_max=m1)
+        unit = OracleConfig(grid_lo=lo / s, grid_hi=hi / s, grid_step=step / s, m4_target=1.0, m1_max=m1 / s)
+        try:
+            expected = oracle_max_m3(unit).max_m3 * s**3
+        except InfeasibleMomentsError:
+            with pytest.raises(InfeasibleMomentsError):
+                oracle_max_m3(tiny)
+        else:
+            assert oracle_max_m3(tiny).max_m3 == pytest.approx(expected, rel=1e-9)
+
+    def test_tampered_dual_fails_certificate(self):
+        A, b, c = certificate_parts(COARSE)
+        sol = lp_max(A, b, c)
+        check_certificate(A, b, c, sol.x, sol.y)
+        lowered = sol.y - np.array([1e-6, 0.0, 0.0])  # below x^3 at the support
+        with pytest.raises(CertificateError, match="dual"):
+            check_certificate(A, b, c, sol.x, lowered)
+        raised = sol.y + np.array([1e-6, 0.0, 0.0])  # feasible but not optimal
+        with pytest.raises(CertificateError, match="gap"):
+            check_certificate(A, b, c, sol.x, raised)
+        moved = sol.x.copy()
+        moved[np.flatnonzero(moved)[0]] += 1e-6
+        with pytest.raises(CertificateError, match="primal"):
+            check_certificate(A, b, c, moved, sol.y)
+
+    def test_oracle_refuses_uncertified_optimum(self, monkeypatch):
+        solve = oracle.lp_max
+
+        def tampered(A, b, c):
+            sol = solve(A, b, c)
+            return sol._replace(y=sol.y * 0.5)
+
+        monkeypatch.setattr(oracle, "lp_max", tampered)
+        with pytest.raises(CertificateError):
+            oracle_max_m3(COARSE)
+        with pytest.raises(CertificateError):
+            oracle_extreme_m3_given(0.0, 1.0, 2.0, COARSE)
+
+    def test_support_two_pairs_are_exactly_feasible(self):
+        res = oracle_max_m3(OracleConfig(max_support=2))
+        mv = moments_from_discrete(res.argmax)
+        assert len(res.argmax.atoms) <= 2
+        assert res.dual == ()
+        assert mv.m1 <= 0.0
+        assert abs(mv.m4 - 1.0) <= 4e-16
+        assert res.max_m3 == pytest.approx(mv.m3, abs=1e-15)
+
     def test_support_three_refines_support_two(self):
         two = oracle_max_m3(
             OracleConfig(grid_lo=-2.0, grid_hi=2.0, grid_step=0.1, max_support=2)
@@ -89,6 +264,27 @@ class TestOracleExtremeGiven:
         )
         assert lo == pytest.approx(0.0, abs=5e-3)
         assert hi == pytest.approx(0.0, abs=5e-3)
+
+    def test_degenerate_boundary_triple_default_range(self):
+        lo, hi = oracle_extreme_m3_given(0.0, 1.0, 1.0, OracleConfig(grid_step=0.5))
+        assert lo == pytest.approx(0.0, abs=1e-12)
+        assert hi == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("triple", [(0.0, 1.0, 2.0), (-0.5, 1.0, 2.0), (0.25, 1.5, 4.0)])
+    def test_matches_exact_brute_force(self, triple):
+        cfg = OracleConfig(grid_lo=-2.0, grid_hi=2.0, grid_step=0.25)
+        columns = [(1, x, x * x, x**4) for x in QUARTER_GRID]
+        costs = [x**3 for x in QUARTER_GRID]
+        rhs = (1, *(Fraction(v) for v in triple))
+        values = basic_feasible_values(columns, costs, rhs)
+        assert oracle_extreme_m3_given(*triple, cfg) == pytest.approx((float(min(values)), float(max(values))), abs=1e-12)
+
+    def test_range_inside_closed_form(self):
+        for triple in [(0.0, 1.0, 2.0), (0.0, 2.0, 6.0), (-0.5, 1.0, 2.0)]:
+            lo, hi = oracle_extreme_m3_given(*triple, OracleConfig())
+            iv = m3_interval(*triple)
+            assert iv.lo - 1e-12 <= lo <= hi <= iv.hi + 1e-12
+            assert max(lo - iv.lo, iv.hi - hi) <= 1e-4
 
     def test_exact_grid_pair(self):
         # (0, 2, 6) comes from the zero-mean distribution on {-1, 2}
@@ -122,6 +318,41 @@ class TestRandomFalsifier:
             random_falsifier(trials=0, seed=1)
         with pytest.raises(ValueError):
             random_falsifier(trials=10, seed=1, atom_budget=1)
+
+    def test_single_trial(self):
+        rep = random_falsifier(1, 0)
+        assert rep.trials == 1
+        assert rep.worst_trial == 0
+        assert rep.total_violations == 0
+
+    def test_chunk_size_does_not_matter(self, monkeypatch):
+        whole = random_falsifier(trials=1000, seed=5, atom_budget=6)
+        monkeypatch.setattr(oracle, "FALSIFIER_CHUNK", 7)
+        assert random_falsifier(trials=1000, seed=5, atom_budget=6) == whole
+
+    def test_lists_violating_trials_across_chunks(self, monkeypatch):
+        monkeypatch.setattr(oracle, "FALSIFIER_CHUNK", 3)
+        # a cut of -1e3 * scale flags every trial, since each slack is below 2 * scale
+        rep = random_falsifier(trials=40, seed=2, tol=-1e3)
+        assert rep.eq_quarter_violations == 40
+        assert rep.violating_trials == tuple(range(oracle.LISTED_VIOLATIONS))
+
+    def test_replay_reproduces_worst_trial(self):
+        rep = random_falsifier(trials=5000, seed=9)
+        trial = replay_trial(9, rep.worst_trial)
+        assert trial.scaled_margin == rep.worst_scaled_slack
+        law = moments_from_discrete(trial.law)
+        for a, b in zip(law.as_tuple(), trial.moments.as_tuple()):
+            assert a == pytest.approx(b, rel=1e-12, abs=1e-15)
+        mv = trial.moments
+        iv = m3_interval(mv.m1, mv.m2, mv.m4)
+        scalar = min(
+            bound_sqrt(mv, check=False).slack,
+            bound_quarter(mv, check=False).slack,
+            mv.m3 - iv.lo,
+            iv.hi - mv.m3,
+        )
+        assert scalar / mv.scale == pytest.approx(trial.scaled_margin, abs=1e-13)
 
     def test_two_point_draws_are_equality_cases(self):
         import numpy as np
