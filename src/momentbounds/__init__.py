@@ -9,13 +9,42 @@ The package computes moments of discrete distributions, checks Hankel
 (moment matrix) feasibility, evaluates the bounds with tightness
 certificates, and verifies sharpness with an independent LP oracle whose
 optima carry dual certificates.
+
+The oracle, and with it numpy, is imported on first use of one of its
+names, so the scalar API loads only the standard library.
 """
 
-from . import bounds, moments, oracle
+import importlib
+
+from . import bounds, moments
 from .bounds import *  # noqa: F403
 from .moments import *  # noqa: F403
-from .oracle import *  # noqa: F403
+from .moments import CertificateError
 
 __version__ = "0.1.0"
 
-__all__ = ["__version__", *moments.__all__, *bounds.__all__, *oracle.__all__]
+#: ``oracle.__all__``, listed here so that it is known before the import.
+_ORACLE_NAMES = (
+    "CertificateError",
+    "OracleConfig",
+    "OracleResult",
+    "LPSolution",
+    "FalsifierReport",
+    "ReplayedTrial",
+    "lp_max",
+    "check_certificate",
+    "oracle_max_m3",
+    "oracle_extreme_m3_given",
+    "random_falsifier",
+    "replay_trial",
+)
+
+__all__ = ["__version__", *moments.__all__, *bounds.__all__, *_ORACLE_NAMES]
+
+
+def __getattr__(name: str):
+    if name != "oracle" and name not in _ORACLE_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    oracle = importlib.import_module(f"{__name__}.oracle")
+    globals().update((n, getattr(oracle, n)) for n in _ORACLE_NAMES)
+    return globals()[name]

@@ -17,18 +17,14 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from .moments import (
     DiscreteDistribution,
     InfeasibleMomentsError,
     MomentVector,
     feasibility,
     floor_at,
-    hankel,
-    hankel_det_closed_form,
-    moment_scale,
     root,
+    standardize,
 )
 
 __all__ = [
@@ -59,25 +55,37 @@ QUARTER_CONSTANT = (4.0 / 27.0) ** 0.25
 EXTREMAL_U_FACTOR = (math.sqrt(3.0) - 1.0) / math.sqrt(2.0)
 EXTREMAL_V_FACTOR = (math.sqrt(3.0) + 1.0) / math.sqrt(2.0)
 
-#: Relative tolerance (times moment_scale) classifying a bound as tight.
+#: Tolerance on the standardized slack (slack / s^3, s = m4^(1/4)) that
+#: classifies a bound as tight.
 DEFAULT_TIGHT_TOL = 1e-8
 
-#: Rounding headroom on the m1 <= 0 precondition: zero-mean two-point
-#: constructions can carry a one-ulp positive mean after normalization.
+#: Rounding headroom on the m1 <= 0 precondition, relative to s: zero-mean
+#: two-point constructions can carry a one-ulp positive mean after
+#: normalization.
 M1_PRECONDITION_TOL = 1e-12
 
 
+def mean_nonpositive(mv: MomentVector) -> bool:
+    """The precondition m1 <= 0 of the sharp bounds, to M1_PRECONDITION_TOL * s."""
+    return mv.m1 <= M1_PRECONDITION_TOL * root(root(mv.m4))
+
+
 def _check_mean_nonpositive(mv: MomentVector) -> None:
-    if mv.m1 > M1_PRECONDITION_TOL * max(1.0, math.sqrt(mv.m2)):
+    if not mean_nonpositive(mv):
         raise ValueError("precondition m1 <= 0 violated (use m3_interval)")
 
 
 @dataclass(frozen=True)
 class BoundResult:
-    """A bound on m3 with its slack and, when tight, the attaining witness."""
+    """A bound on m3 with its slack and, when tight, the attaining witness.
+
+    ``scaled_slack`` is slack / s^3 with s = m4^(1/4), the slack of X / s:
+    the bound is tight iff its magnitude is at most the tolerance.
+    """
 
     bound: float
     slack: float
+    scaled_slack: float
     tight: bool
     witness: Optional[DiscreteDistribution] = None
 
@@ -130,7 +138,7 @@ def _require_feasible(mv: MomentVector) -> None:
 
 def sqrt_bound(m2, m4):
     """(sqrt(max(0, s2)), s2) with s2 = m4 m2 - m2^3; floats or arrays."""
-    s2 = m4 * m2 - m2**3
+    s2 = m4 * m2 - m2 * m2 * m2
     return root(floor_at(s2, 0.0)), s2
 
 
@@ -158,6 +166,18 @@ def bound_trivial(mv: MomentVector) -> float:
     return mv.m4**0.75
 
 
+def _bound_result(mv: MomentVector, s: float, unit_bound: float, unit_m3: float, tol: float, witness) -> BoundResult:
+    """BoundResult from the bound of X / s; ``witness()`` builds the witness of X / s.
+
+    For s = 0 (m4 = 0) both bounds and the witness are 0.
+    """
+    scaled_slack = unit_bound - unit_m3
+    bound = unit_bound * s * s * s
+    tight = abs(scaled_slack) <= tol
+    law = DiscreteDistribution(tuple((s * x, p) for x, p in witness().atoms)) if tight else None
+    return BoundResult(bound, bound - mv.m3, scaled_slack, tight, law)
+
+
 def bound_sqrt(
     mv: MomentVector, tol: float = DEFAULT_TIGHT_TOL, check: bool = True
 ) -> BoundResult:
@@ -165,29 +185,26 @@ def bound_sqrt(
 
     Tight exactly for the zero-mean two-point distributions; when tight,
     the witness reconstructs (u, v) from m2 = uv and m3 = uv(v - u).
+    The verdict and the witness are computed for X / s, s = m4^(1/4).
     ``check=False`` skips the PSD precondition (caller already verified it).
     """
     _check_mean_nonpositive(mv)
     if check:
         _require_feasible(mv)
-    scale = mv.scale
-    bound, s2 = sqrt_bound(mv.m2, mv.m4)
-    if s2 < -tol * scale:
+    s, (_, a2, a3, a4) = standardize(mv.m1, mv.m2, mv.m3, mv.m4)
+    unit_bound, s2 = sqrt_bound(a2, a4)
+    if s2 < -tol:
         raise InfeasibleMomentsError("not a moment vector")
-    slack = bound - mv.m3
-    tight = abs(slack) <= tol * scale
-    witness = _sqrt_witness(mv) if tight else None
-    return BoundResult(bound=bound, slack=slack, tight=tight, witness=witness)
+    return _bound_result(mv, s, unit_bound, a3, tol, lambda: _sqrt_witness(a2, a3))
 
 
-def _sqrt_witness(mv: MomentVector) -> DiscreteDistribution:
+def _sqrt_witness(m2: float, m3: float) -> DiscreteDistribution:
     # Solve t^2 - (m3/m2) t - m2 = 0 for v > 0, then u = m2 / v.
-    if mv.m2 <= 0.0:
+    if m2 <= 0.0:
         return DiscreteDistribution.point_mass(0.0)
-    r = mv.m3 / mv.m2
-    v = 0.5 * (r + math.sqrt(r * r + 4.0 * mv.m2))
-    u = mv.m2 / v
-    return two_point_zero_mean(u, v)
+    r = m3 / m2
+    v = 0.5 * (r + math.sqrt(r * r + 4.0 * m2))
+    return two_point_zero_mean(m2 / v, v)
 
 
 def bound_quarter(
@@ -197,21 +214,21 @@ def bound_quarter(
 
     Obtained from ``bound_sqrt`` by maximizing over m2, with maximizer
     m2 = sqrt(m4/3); tight exactly for ``extremal_from_sigma`` distributions.
+    When tight, the witness is the one with the same m4 (3 sigma^4 = m4),
+    which attains the bound.  The verdict and the witness are computed for
+    X / s, s = m4^(1/4).
     """
     _check_mean_nonpositive(mv)
     if check:
         _require_feasible(mv)
-    scale = mv.scale
-    bound = quarter_bound(mv.m4)
-    slack = bound - mv.m3
-    tight = abs(slack) <= tol * scale
-    witness = None
-    if tight:
-        if mv.m2 > 0.0:
-            witness = extremal_from_sigma(math.sqrt(mv.m2))
-        else:
-            witness = DiscreteDistribution.point_mass(0.0)
-    return BoundResult(bound=bound, slack=slack, tight=tight, witness=witness)
+    s, (_, _, a3, a4) = standardize(mv.m1, mv.m2, mv.m3, mv.m4)
+
+    def witness() -> DiscreteDistribution:
+        if a4 > 0.0:
+            return extremal_from_sigma((a4 / 3.0) ** 0.25)
+        return DiscreteDistribution.point_mass(0.0)
+
+    return _bound_result(mv, s, quarter_bound(a4), a3, tol, witness)
 
 
 def m3_interval(
@@ -221,15 +238,16 @@ def m3_interval(
 
     The Hankel determinant, as a quadratic in m3, is nonnegative exactly on
     [m1 m2 - sqrt(D), m1 m2 + sqrt(D)] with D = (m2 - m1^2)(m4 - m2^2);
-    equivalently Cov(X^2, X)^2 <= Var(X^2) Var(X).
+    equivalently Cov(X^2, X)^2 <= Var(X^2) Var(X).  Computed for X / s,
+    s = m4^(1/4), where a tolerance tol on the variances is relative.
     """
     if not all(math.isfinite(v) for v in (m1, m2, m4)):
         raise ValueError("non-finite moment")
-    scale = moment_scale(max(m4, 0.0))
-    lo, hi, a, b = interval_ends(m1, m2, m4)
-    if a < -tol * scale or b < -tol * scale:
+    s, (a1, a2, _, a4) = standardize(m1, m2, 0.0, max(m4, 0.0))
+    lo, hi, a, b = interval_ends(a1, a2, a4)
+    if m4 < 0.0 or a < -tol or b < -tol:
         raise InfeasibleMomentsError("infeasible (m1, m2, m4) triple")
-    return MomentInterval(lo=lo, hi=hi)
+    return MomentInterval(lo=lo * s * s * s, hi=hi * s * s * s)
 
 
 def two_point_zero_mean(u: float, v: float) -> DiscreteDistribution:
@@ -258,39 +276,44 @@ def certificate_from_hankel(
 ) -> Certificate:
     """Extract the boundary distribution from a singular Hankel matrix.
 
-    Requires det H = 0 within tol * scale (and H PSD): then some
-    a0 + a1 X + a2 X^2 vanishes almost surely, and the polynomial's real
-    roots carry all the mass.  Weights are solved from m0 = 1 and m1.
+    Requires the standardized det H to be 0 within tol (and H PSD): then
+    some a0 + a1 X + a2 X^2 vanishes almost surely, and the polynomial's
+    real roots carry all the mass.  The null vector is the largest cross
+    product of two rows of the standardized H; when every cross product is
+    within tol of 0, H has rank 1 and the law is the point mass at m1.
+    Weights are solved from m0 = 1 and m1.
     """
     rep = feasibility(mv)
     if not rep.psd:
         raise InfeasibleMomentsError("not a moment vector")
-    scale = rep.scale
-    det = hankel_det_closed_form(mv)
-    if abs(det) > tol * scale:
+    if abs(rep.minors[-1]) > tol:
         raise InfeasibleMomentsError(
             "interior point: no finite-support certificate of order <= 2"
         )
-    h = hankel(mv).entries
-    eigvals, eigvecs = np.linalg.eigh(h)
-    null_cut = max(tol * scale, 1e-12 * max(1.0, float(np.abs(h).max())))
-    null_cols = [k for k in range(3) if eigvals[k] <= null_cut]
-    if not null_cols:
-        # PSD with tiny determinant but no eigenvalue under the cut: treat
-        # the smallest eigenvector as the null direction.
-        null_cols = [0]
-    # Prefer a genuine quadratic certificate when the null space allows it.
-    best = max(null_cols, key=lambda k: abs(float(eigvecs[2, k])))
-    vec = eigvecs[:, best].astype(float)
-    for coord in vec:
-        if abs(coord) > 1e-12:
-            if coord < 0.0:
-                vec = -vec
-            break
-    a0, a1, a2 = (float(c) for c in vec)
-    roots = _polynomial_support(a0, a1, a2)
-    recovered = _recover_distribution(mv, roots)
-    return Certificate(coeffs=(a0, a1, a2), roots=roots, recovered=recovered)
+    s, (a1, a2, a3, a4) = standardize(mv.m1, mv.m2, mv.m3, mv.m4)
+    rows = ((1.0, a1, a2), (a1, a2, a3), (a2, a3, a4))
+    null = max((_cross(rows[i], rows[j]) for i, j in ((0, 1), (0, 2), (1, 2))), key=_norm)
+    size = _norm(null)
+    unit = s if s > 0.0 else 1.0
+    if size <= tol:
+        roots: tuple[float, ...] = (float(mv.m1),)
+        coeffs = (-mv.m1, 1.0, 0.0)
+    else:
+        c0, c1, c2 = (c / size for c in null)
+        roots = tuple(unit * r for r in _polynomial_support(c0, c1, c2))
+        coeffs = (c0, c1 / unit, c2 / unit / unit)
+    norm = _norm(coeffs)
+    sign = next((1.0 if c > 0.0 else -1.0 for c in coeffs if abs(c) > 1e-12 * norm), 1.0)
+    a0, a1, a2 = (sign * c / norm for c in coeffs)
+    return Certificate(coeffs=(a0, a1, a2), roots=roots, recovered=_recover_distribution(mv, roots))
+
+
+def _cross(p: tuple[float, float, float], q: tuple[float, float, float]) -> tuple[float, float, float]:
+    return (p[1] * q[2] - p[2] * q[1], p[2] * q[0] - p[0] * q[2], p[0] * q[1] - p[1] * q[0])
+
+
+def _norm(v: tuple[float, ...]) -> float:
+    return math.hypot(*v)
 
 
 def _polynomial_support(a0: float, a1: float, a2: float) -> tuple[float, ...]:

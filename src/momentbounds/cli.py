@@ -4,10 +4,18 @@ Subcommands: moments, bound, interval, extremal, verify.  Every command
 prints a JSON report (floats in shortest round-trip form, lossless at 17
 significant digits) to stdout and diagnostics to stderr.
 
-Exit codes: 0 success, 2 usage or parse error (numbers too large
-included), 3 mathematical infeasibility (not a moment sequence /
-infeasible configuration).  Additionally ``verify`` exits 1 when the
-verification itself fails, an uncertified oracle optimum included.
+Exit codes:
+
+    0  success
+    1  ``verify`` only: the verification failed, an uncertified oracle
+       optimum included
+    2  usage or parse error (an oversized grid, numbers too large for
+       double precision and input nested too deeply included)
+    3  mathematical infeasibility (not a moment sequence / infeasible
+       configuration)
+    4  internal error: an unexpected exception, reported in one line
+
+Only ``verify`` imports the oracle, and with it numpy.
 """
 
 from __future__ import annotations
@@ -20,7 +28,6 @@ from typing import Any, Optional
 
 from . import __version__
 from .bounds import (
-    M1_PRECONDITION_TOL,
     QUARTER_CONSTANT,
     BoundResult,
     ExtremalSpec,
@@ -30,23 +37,25 @@ from .bounds import (
     certificate_from_hankel,
     extremal_from_sigma,
     m3_interval,
+    mean_nonpositive,
 )
 from .moments import (
+    CertificateError,
     DiscreteDistribution,
+    FeasibilityReport,
     InfeasibleMomentsError,
     MomentVector,
     abs_third_moment,
     feasibility,
-    hankel_det_closed_form,
     moments_from_discrete,
     moments_from_samples,
 )
-from .oracle import CertificateError, OracleConfig, oracle_max_m3, random_falsifier
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_INFEASIBLE = 3
+EXIT_INTERNAL = 4
 
 #: Acceptable gap between the oracle maximum and the sharp bound in `verify`.
 DEFAULT_GAP_TOL = 5e-3
@@ -61,6 +70,8 @@ def parse_distribution_file(path: str) -> DiscreteDistribution:
         raise ValueError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValueError(f"invalid JSON in {path}: {exc}") from exc
+    except RecursionError:
+        raise ValueError(f"invalid JSON in {path}: nested too deeply") from None
     if not isinstance(doc, dict) or set(doc) != {"atoms"}:
         raise ValueError('distribution file must be an object with the single key "atoms"')
     atoms = doc["atoms"]
@@ -85,10 +96,21 @@ def _moments_json(mv: MomentVector) -> dict[str, float]:
     return {"m0": mv.m0, "m1": mv.m1, "m2": mv.m2, "m3": mv.m3, "m4": mv.m4}
 
 
+def _feasibility_json(rep: FeasibilityReport) -> dict[str, Any]:
+    return {
+        "psd": rep.psd,
+        "scale": rep.scale,
+        "minors": list(rep.minors),
+        "decisive_minor": rep.decisive_minor,
+        "margin": rep.margin,
+    }
+
+
 def _bound_json(result: BoundResult) -> dict[str, Any]:
     out: dict[str, Any] = {
         "bound": result.bound,
         "slack": result.slack,
+        "scaled_slack": result.scaled_slack,
         "tight": result.tight,
     }
     if result.witness is not None:
@@ -106,6 +128,15 @@ def _load_moment_vector(args: argparse.Namespace) -> tuple[MomentVector, Any]:
         return mv, {"moments": list(args.moments)}
     dist = parse_distribution_file(args.file)
     return moments_from_discrete(dist), {"file": args.file, "atoms": _atoms_json(dist)}
+
+
+def _dumps(report: dict[str, Any]) -> str:
+    """The report as strict JSON: a value beyond double range, such as det H
+    of a law at scale 1e60 (degree 6), is an overflow, not "Infinity"."""
+    try:
+        return json.dumps(report, indent=2, allow_nan=False)
+    except ValueError:
+        raise OverflowError("a reported value is not finite") from None
 
 
 def cmd_moments(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
@@ -128,12 +159,7 @@ def cmd_moments(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
             "moments": _moments_json(mv),
             "abs_third_moment": abs_third_moment(dist),
             "hankel_det": rep.det,
-            "feasibility": {
-                "psd": rep.psd,
-                "minors": list(rep.minors),
-                "min_eigenvalue": rep.min_eigenvalue,
-                "scale": rep.scale,
-            },
+            "feasibility": _feasibility_json(rep),
         }
     )
     return report, EXIT_OK
@@ -147,27 +173,27 @@ def cmd_bound(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
     report = _base_report("bound", echo)
     report["moments"] = _moments_json(mv)
     report["tolerance"] = args.tol
+    report["feasibility"] = _feasibility_json(rep)
     iv = m3_interval(mv.m1, mv.m2, mv.m4, tol=args.tol)
     report["interval"] = {"lo": iv.lo, "hi": iv.hi}
     report["bounds"] = {"trivial": {"bound": bound_trivial(mv)}}
-    if mv.m1 > M1_PRECONDITION_TOL * max(1.0, mv.m2**0.5):
+    if not mean_nonpositive(mv):
         report["note"] = "sharp bounds require m1 <= 0; reporting the interval instead"
         return report, EXIT_OK
     sqrt_res = bound_sqrt(mv, tol=args.tol, check=False)
     quarter_res = bound_quarter(mv, tol=args.tol, check=False)
     report["bounds"]["sqrt"] = _bound_json(sqrt_res)
     report["bounds"]["quarter"] = _bound_json(quarter_res)
-    if abs(rep.det) <= args.tol * rep.scale:
-        try:
-            cert = certificate_from_hankel(mv, tol=args.tol)
-        except InfeasibleMomentsError:
-            pass
-        else:
-            report["certificate"] = {
-                "coeffs": list(cert.coeffs),
-                "roots": list(cert.roots),
-                "recovered": _atoms_json(cert.recovered),
-            }
+    try:
+        cert = certificate_from_hankel(mv, tol=args.tol)
+    except InfeasibleMomentsError:
+        pass
+    else:
+        report["certificate"] = {
+            "coeffs": list(cert.coeffs),
+            "roots": list(cert.roots),
+            "recovered": _atoms_json(cert.recovered),
+        }
     return report, EXIT_OK
 
 
@@ -196,6 +222,8 @@ def cmd_extremal(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
 
 
 def cmd_verify(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
+    from .oracle import OracleConfig, oracle_max_m3, random_falsifier
+
     if args.trials <= 0:
         raise ValueError("trials must be positive")
     cfg = OracleConfig(
@@ -274,7 +302,9 @@ def build_parser() -> argparse.ArgumentParser:
         metavar=("M0", "M1", "M2", "M3", "M4"),
         help="moment vector instead of a file",
     )
-    p.add_argument("--tol", type=float, default=1e-8, help="tightness tolerance (default 1e-8)")
+    p.add_argument(
+        "--tol", type=float, default=1e-8, help="tightness tolerance on the standardized slack (default 1e-8)"
+    )
     p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("interval", help="exact m3 range from (m1, m2, m4)")
@@ -307,6 +337,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         report, code = args.func(args)
+        text = _dumps(report)
     except InfeasibleMomentsError as exc:
         print(f"momentbounds: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
@@ -319,8 +350,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     except CertificateError as exc:
         print(f"momentbounds: {exc}", file=sys.stderr)
         return EXIT_VERIFY_FAILED
-    json.dump(report, sys.stdout, indent=2)
-    print()
+    except Exception as exc:  # a fault of the program, not of the input
+        print(f"momentbounds: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    print(text)
     return code
 
 

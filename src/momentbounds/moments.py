@@ -3,18 +3,21 @@
 A moment vector (m0, m1, m2, m3, m4) collects the raw moments E X^j of a
 random variable X for j = 0..4, with m0 = 1 always.  Necessary for such a
 vector to come from a real random variable is that the 3x3 Hankel matrix
-H[i][j] = m_{i+j} is positive semidefinite; ``feasibility`` reports that
-verdict together with the leading principal minors and the smallest
-eigenvalue.
+H[i][j] = m_{i+j} is positive semidefinite.  ``feasibility`` decides that
+exactly from the seven principal minors of H (Curto & Fialkow 1991),
+computed on the standardized vector m_j / s^j with s = m4^(1/4), the
+moments of X / s, and reports the decisive minor with its margin over the
+tolerance.  Only ``hankel`` builds an array, so only it imports numpy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "InfeasibleMomentsError",
@@ -37,12 +40,16 @@ __all__ = [
 #: Weights must sum to 1 within this before renormalization.
 WEIGHT_SUM_TOL = 1e-12
 
-#: Default absolute tolerance (times ``moment_scale``) for PSD verdicts.
+#: Default tolerance for PSD verdicts, on the standardized principal minors.
 DEFAULT_PSD_TOL = 1e-10
 
 
 class InfeasibleMomentsError(ValueError):
     """The given numbers cannot be moments of any real random variable."""
+
+
+class CertificateError(RuntimeError):
+    """The simplex found no optimum, or its optimum failed the primal-dual check."""
 
 
 def floor_at(v, lo: float):
@@ -51,17 +58,35 @@ def floor_at(v, lo: float):
 
 
 def root(v):
-    """Correctly rounded square root of a float, elementwise of an array."""
-    return np.sqrt(v) if isinstance(v, np.ndarray) else math.sqrt(v)
+    """Correctly rounded square root of a float, elementwise of an array.
+
+    A float's ``v ** 0.5`` is not always correctly rounded; an array's is
+    numpy's ``sqrt``.
+    """
+    return math.sqrt(v) if isinstance(v, (float, int)) else v**0.5
 
 
 def moment_scale(m4):
-    """Normalization for absolute tolerances: max(1, m4^(3/2)); float or array.
+    """Reporting scale max(1, m4^(3/2)), of degree 6 like det H; float or array.
 
-    The Hankel determinant is homogeneous of degree 6 in X, and m4^(3/2)
-    carries the same degree, so tol * moment_scale(m4) is scale covariant.
+    No verdict uses it: verdicts are reached on the standardized vector.
     """
     return floor_at(m4**1.5, 1.0)
+
+
+def standardize(m1, m2, m3, m4):
+    """(s, (m1/s, m2/s^2, m3/s^3, m4/s^4)) with s = m4^(1/4): the moments of X / s.
+
+    The standardized moments of a law lie in [-1, 1], so tolerances on them
+    are relative.  For m4 = 0, where X = 0 almost surely (up to underflow),
+    s is 0 and the moments come back as they are.  Dividing by one factor
+    of s at a time keeps every intermediate in range for any finite m4 >= 0.
+    s is taken as two correctly rounded square roots, so floats and arrays
+    agree bit for bit.  Floats or arrays.
+    """
+    s = root(root(m4))
+    z = 1.0 / (s + (s == 0.0))
+    return s, (m1 * z, m2 * z * z, m3 * z * z * z, m4 * z * z * z * z)
 
 
 @dataclass(frozen=True)
@@ -182,6 +207,8 @@ class HankelMatrix:
 
     @classmethod
     def from_moments(cls, mv: MomentVector) -> "HankelMatrix":
+        import numpy as np
+
         m = mv.as_tuple()
         h = np.array(
             [
@@ -199,8 +226,12 @@ def hankel(mv: MomentVector) -> HankelMatrix:
 
 
 def hankel_det(m1, m2, m3, m4):
-    """det H as the explicit polynomial in m1..m4 (m0 = 1); floats or arrays."""
-    return m4 * m2 - m2**3 - m1 * m1 * m4 + 2.0 * m1 * m2 * m3 - m3 * m3
+    """det H as the explicit polynomial in m1..m4 (m0 = 1); floats or arrays.
+
+    Products only, so floats and arrays round alike and nothing raises
+    OverflowError.
+    """
+    return m4 * m2 - m2 * m2 * m2 - m1 * m1 * m4 + 2.0 * m1 * m2 * m3 - m3 * m3
 
 
 def hankel_det_closed_form(mv: MomentVector) -> float:
@@ -208,47 +239,61 @@ def hankel_det_closed_form(mv: MomentVector) -> float:
     return hankel_det(mv.m1, mv.m2, mv.m3, mv.m4)
 
 
-def psd_verdict(m1, m2, m3, m4, min_eig, tol: float = DEFAULT_PSD_TOL):
-    """(psd, d2, d3, scale) from the minors and the smallest eigenvalue of H.
+def principal_minors(m1, m2, m3, m4):
+    """The seven principal minors of H, in the order
+    1, m2, m4, m2 - m1^2, m4 - m2^2, m2 m4 - m3^2, det H; floats or arrays."""
+    return (1.0, m2, m4, m2 - m1 * m1, m4 - m2 * m2, m2 * m4 - m3 * m3, hankel_det(m1, m2, m3, m4))
 
-    PSD iff d2 = m2 - m1^2, d3 = det H and min_eig are all at least
-    -tol * scale (d1 = 1 always is).  Floats or arrays of equal shape.
+
+def psd_verdict(m1, m2, m3, m4, tol: float = DEFAULT_PSD_TOL):
+    """(psd, minors, s): H is PSD iff every principal minor is nonnegative.
+
+    The minors are those of the standardized vector (see ``standardize``),
+    each required to be at least -tol.  m4 = 0 forces X = 0 up to underflow
+    (an atom at 1e-90 has m4 = 0 and m1 = 1e-90), so there the minors of
+    the unscaled vector are held to -tol.  Floats or arrays of equal shape.
     """
-    d2 = m2 - m1 * m1
-    d3 = hankel_det(m1, m2, m3, m4)
-    scale = moment_scale(m4)
-    cut = -tol * scale
-    return (d2 >= cut) & (d3 >= cut) & (min_eig >= cut), d2, d3, scale
+    s, std = standardize(m1, m2, m3, m4)
+    minors = principal_minors(*std)
+    psd = minors[1] >= -tol
+    for d in minors[2:]:
+        psd = psd & (d >= -tol)
+    return psd, minors, s
 
 
 @dataclass(frozen=True)
 class FeasibilityReport:
-    """PSD verdict on the Hankel matrix of a moment vector.
+    """PSD verdict on the Hankel matrix of a moment vector, and how it was reached.
 
-    PSD-ness is a necessary condition for a representing distribution to
-    exist; sufficiency (rank conditions of the truncated moment problem)
-    is not certified here.
+    ``minors`` are the seven standardized principal minors (see
+    ``principal_minors``), ``scale`` the standardization scale s = m4^(1/4),
+    ``decisive_minor`` the smallest minor and ``margin`` its excess over
+    -tol: psd iff margin >= 0.  ``det`` is det H in the units
+    of the input, s^6 times the standardized one.  PSD-ness is a necessary
+    condition for a representing distribution to exist; sufficiency (rank
+    conditions of the truncated moment problem) is not certified here.
     """
 
     psd: bool
     det: float
-    minors: tuple[float, float, float]
-    min_eigenvalue: float
+    minors: tuple[float, ...]
     scale: float
+    decisive_minor: float
+    margin: float
 
 
 def feasibility(mv: MomentVector, tol: float = DEFAULT_PSD_TOL) -> FeasibilityReport:
     """Check whether the Hankel matrix of ``mv`` is positive semidefinite.
 
-    The verdict is ``True`` iff every leading principal minor and the
-    smallest eigenvalue are at least -tol * scale, with
-    scale = max(1, m4^(3/2)).  Infeasibility is reported, never raised.
+    The verdict is ``True`` iff every standardized principal minor is at
+    least -tol (see ``psd_verdict``).  Infeasibility is reported, never raised.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    min_eig = float(np.linalg.eigvalsh(hankel(mv).entries)[0])
-    psd, d2, d3, scale = psd_verdict(mv.m1, mv.m2, mv.m3, mv.m4, min_eig, tol)
-    return FeasibilityReport(psd=psd, det=d3, minors=(1.0, d2, d3), min_eigenvalue=min_eig, scale=scale)
+    psd, minors, s = psd_verdict(mv.m1, mv.m2, mv.m3, mv.m4, tol)
+    det = minors[-1] * s * s * s * s * s * s if s > 0.0 else minors[-1]
+    decisive = min(minors)
+    return FeasibilityReport(bool(psd), det, minors, s, decisive, decisive + tol)
 
 
 def scale_moments(mv: MomentVector, lam: float) -> MomentVector:

@@ -19,6 +19,7 @@ from momentbounds import (
     bound_sqrt,
     certificate_from_hankel,
     extremal_from_sigma,
+    feasibility,
     hankel,
     hankel_det_closed_form,
     m3_interval,
@@ -170,3 +171,45 @@ def test_criterion_7_scale_covariance(capsys):
     ok = worst <= 1e-12
     with capsys.disabled():
         report("criterion 7 (scale covariance)", ok, f"worst rel err={worst:.2e}")
+
+
+def test_criterion_7_wide_scale_invariance_of_verdicts(capsys):
+    """Criterion 7 over lam in 10^[-6, 6] for psd, tight, witness and certificate.
+
+    The laws: the extremal law (tight under both bounds), the zero-mean law
+    on {-1, 2} (tight under the sqrt bound only) and {-2, 0, 1.5} with equal
+    weights (tight under neither).  Witness and certificate moments must
+    reproduce the law's to 1e-10 in standardized units.
+    """
+    laws = {
+        "extremal": (extremal_from_sigma(1.0).atoms, ("sqrt", "quarter")),
+        "two-point": (two_point_zero_mean(1.0, 2.0).atoms, ("sqrt",)),
+        "three-point": (((-2.0, 1 / 3), (0.0, 1 / 3), (1.5, 1 / 3)), ()),
+    }
+    misses = []
+    worst = 0.0
+    for lam in np.logspace(-6.0, 6.0, 121):
+        for name, (atoms, tight) in laws.items():
+            mv = moments_from_discrete(DiscreteDistribution.from_pairs((lam * x, p) for x, p in atoms))
+            s = mv.m4**0.25
+            outputs = []
+            if not feasibility(mv).psd:
+                misses.append((name, lam, "psd"))
+            for bound, res in (("sqrt", bound_sqrt(mv)), ("quarter", bound_quarter(mv))):
+                if res.tight != (bound in tight):
+                    misses.append((name, lam, f"{bound} tight={res.tight}"))
+                if res.witness is not None:
+                    outputs.append(res.witness)
+            if tight:
+                outputs.append(certificate_from_hankel(mv).recovered)
+            for law in outputs:
+                got = moments_from_discrete(law)
+                err = max(abs(a - b) / s**j for j, (a, b) in enumerate(zip(got.as_tuple(), mv.as_tuple())))
+                worst = max(worst, err)
+    ok = not misses and worst <= 1e-10
+    with capsys.disabled():
+        report(
+            "criterion 7 (scale invariance of verdicts, lam in 1e-6..1e6)",
+            ok,
+            f"misses={misses[:5]}, worst standardized moment err={worst:.2e}",
+        )

@@ -265,3 +265,52 @@ class TestScaleCovariance:
             ivs = m3_interval(scaled.m1, scaled.m2, scaled.m4)
             assert ivs.lo == pytest.approx(lam**3 * iv.lo, rel=1e-11, abs=1e-12)
             assert ivs.hi == pytest.approx(lam**3 * iv.hi, rel=1e-11, abs=1e-12)
+
+
+#: The 3-point law {-2, 0, 1.5} with equal weights: m1 = -1/6, attains neither bound.
+THREE_POINT = [(-2.0, 1 / 3), (0.0, 1 / 3), (1.5, 1 / 3)]
+
+
+def scaled_law(pairs, lam):
+    return DiscreteDistribution.from_pairs((lam * x, p) for x, p in pairs)
+
+
+class TestScaleFreeVerdicts:
+    @pytest.mark.parametrize("lam", [1e-3, 1e3])
+    def test_three_point_law_is_not_tight(self, lam):
+        mv = moments_from_discrete(scaled_law(THREE_POINT, lam))
+        for res in (bound_sqrt(mv), bound_quarter(mv)):
+            assert not res.tight and res.witness is None
+            assert res.scaled_slack == pytest.approx(res.slack / mv.m4**0.75, rel=1e-12)
+            assert res.scaled_slack > 0.5
+
+    @pytest.mark.parametrize("lam", [1.0, 1e4])
+    def test_certificate_recovers_wide_two_point_law(self, lam):
+        law = scaled_law([(-100.0, 2 / 3), (200.0, 1 / 3)], lam)
+        mv = moments_from_discrete(law)
+        cert = certificate_from_hankel(mv)
+        assert cert.roots == pytest.approx((-100.0 * lam, 200.0 * lam), rel=1e-12)
+        assert [p for _, p in cert.recovered.atoms] == pytest.approx([2 / 3, 1 / 3], rel=1e-12)
+        assert np.linalg.norm(cert.coeffs) == pytest.approx(1.0)
+
+    def test_certificate_of_point_mass_is_rank_one(self):
+        for c in (-3.0, 1e-5, 7e20):
+            cert = certificate_from_hankel(moments_from_discrete(DiscreteDistribution.point_mass(c)))
+            assert cert.roots == pytest.approx((c,), rel=1e-12)
+            assert cert.recovered.atoms[0][0] == pytest.approx(c, rel=1e-12)
+            a0, a1, a2 = cert.coeffs
+            assert a2 == 0.0 and a0 + a1 * c == pytest.approx(0.0, abs=1e-12)
+
+    def test_mean_precondition_is_relative_to_scale(self):
+        # m1 = 1e-9 s is a positive mean at any scale, 1e-14 s is rounding
+        for lam in (1e-6, 1.0, 1e6):
+            with pytest.raises(ValueError, match="m1 <= 0"):
+                bound_sqrt(MomentVector(1, 1e-9 * lam, lam**2, 0, lam**4), check=False)
+            bound_sqrt(MomentVector(1, 1e-14 * lam, lam**2, 0, lam**4), check=False)
+
+    def test_infeasible_interval_triple_at_any_scale(self):
+        for lam in (1e-6, 1.0, 1e6):
+            with pytest.raises(InfeasibleMomentsError):
+                m3_interval(0.0, 2.0 * lam**2, lam**4)
+        with pytest.raises(InfeasibleMomentsError):
+            m3_interval(0.0, 0.0, -1.0)

@@ -1,9 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from momentbounds import oracle
+from momentbounds import cli, oracle
 from momentbounds.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -56,6 +62,29 @@ class TestMomentsCommand:
         assert code == 0
         assert report["input"]["samples"] == [-1e-05, 1.0, -2.0]
 
+    def test_deep_nesting_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        code, report, err = run(capsys, "moments", str(path))
+        assert code == 2
+        assert report is None
+        assert err.count("\n") == 1 and "nested too deeply" in err
+
+    def test_unrepresentable_determinant_exit_2(self, capsys):
+        # det H of this law is of order 1e360: no JSON number holds it
+        code, report, err = run(capsys, "moments", "--samples", "1e60", "-1e60", "0")
+        assert code == 2
+        assert report is None
+        assert err.count("\n") == 1 and "too large" in err
+
+    def test_reports_standardized_minors(self, capsys):
+        code, report, _ = run(capsys, "moments", "--samples", "-1", "1")
+        feas = report["feasibility"]
+        assert feas["scale"] == 1.0
+        assert feas["minors"] == [1.0, 1.0, 1.0, 1.0, 0.0, 1.0, 0.0]
+        assert feas["decisive_minor"] == 0.0 and feas["margin"] == 1e-10
+        assert "min_eigenvalue" not in feas
+
     def test_unknown_keys_rejected(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"atoms": [{"x": 0.0, "p": 1.0, "extra": 1}]}))
@@ -100,11 +129,28 @@ class TestBoundCommand:
         assert code == 0
         assert report["moments"]["m1"] == -1e-05
 
-    def test_overflow_exits_2(self, capsys):
+    def test_rademacher_at_scale_1e75(self, capsys):
+        # degree-6 quantities of this law overflow; its standardized vector is (0, 1, 0, 1)
+        code, unit, _ = run(capsys, "bound", "--moments", "1", "0", "1", "0", "1")
         code, report, err = run(capsys, "bound", "--moments", "1", "0", "1e150", "0", "1e300")
-        assert code == 2
-        assert report is None
-        assert err.count("\n") == 1 and "too large" in err
+        assert code == 0 and err == ""
+        for name, res in report["bounds"].items():
+            # the sqrt bound of the Rademacher law is 0, computed with a sqrt(ulp) floor
+            assert res["bound"] == pytest.approx(1e225 * unit["bounds"][name]["bound"], rel=1e-12, abs=1e217)
+        assert report["bounds"]["sqrt"]["tight"] is True
+        assert report["interval"] == {"lo": 0.0, "hi": 0.0}
+        assert report["certificate"]["roots"] == pytest.approx([-1e75, 1e75], rel=1e-12)
+        assert report["feasibility"]["scale"] == pytest.approx(1e75)
+
+    def test_report_shows_margins(self, capsys):
+        code, report, _ = run(capsys, "bound", "--moments", "1", "0", "1", "0", "2")
+        feas = report["feasibility"]
+        assert feas["psd"] is True and feas["scale"] == pytest.approx(2.0**0.25)
+        assert feas["decisive_minor"] == min(feas["minors"]) == pytest.approx(2.0**-1.5)
+        assert feas["margin"] == pytest.approx(feas["decisive_minor"] + 1e-10)
+        sqrt = report["bounds"]["sqrt"]
+        assert sqrt["scaled_slack"] == pytest.approx(sqrt["slack"] / 2.0**0.75)
+        assert sqrt["tight"] is False
 
     def test_report_round_trip(self, capsys):
         code, first, _ = run(capsys, "bound", "--moments", "1", "-0.25", "1.5", "0.3", "4.5")
@@ -209,3 +255,58 @@ class TestVerifyCommand:
     def test_zero_trials_exit_2(self, capsys):
         code, _, err = run(capsys, "verify", "--trials", "0")
         assert code == 2
+
+
+def test_unexpected_exception_exit_4(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ZeroDivisionError("float division by zero")
+
+    monkeypatch.setattr(cli, "m3_interval", broken)
+    code, report, err = run(capsys, "interval", "0", "1", "2")
+    assert code == 4
+    assert report is None
+    assert err == "momentbounds: internal error: ZeroDivisionError: float division by zero\n"
+
+
+IMPORT_GUARD = """
+import contextlib, io, json, sys
+from momentbounds.cli import main
+
+cases = (
+    ["interval", "0", "1", "2"],
+    ["extremal", "1"],
+    ["moments", "--samples", "1", "2", "3"],
+    ["bound", "--moments", "1", "-0.25", "1.5", "0.3", "4.5"],
+    ["bound", "--moments", "1", "0", "2", "2", "6"],
+)
+for argv in cases:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0, argv
+    json.loads(out.getvalue())
+assert "certificate" in json.loads(out.getvalue())
+assert "numpy" not in sys.modules, "the scalar CLI imported numpy"
+assert "momentbounds.oracle" not in sys.modules
+
+import momentbounds
+assert callable(momentbounds.oracle_max_m3)
+assert momentbounds.OracleConfig is momentbounds.oracle.OracleConfig
+assert momentbounds.CertificateError is momentbounds.oracle.CertificateError
+assert list(momentbounds.__all__[-len(momentbounds.oracle.__all__):]) == momentbounds.oracle.__all__
+namespace = {}
+exec("from momentbounds import *", namespace)
+assert all(name in namespace for name in momentbounds.__all__)
+print("ok")
+"""
+
+
+def test_scalar_subcommands_import_no_numpy():
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_GUARD],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "ok"

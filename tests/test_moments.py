@@ -13,8 +13,10 @@ from momentbounds import (
     hankel_det_closed_form,
     moments_from_discrete,
     moments_from_samples,
+    psd_verdict,
     scale_moments,
 )
+from momentbounds.moments import root, standardize
 
 
 def dist(*pairs):
@@ -180,6 +182,79 @@ class TestFeasibility:
     def test_rejects_bad_tol(self):
         with pytest.raises(ValueError):
             feasibility(MomentVector(1, 0, 1, 0, 1), tol=0.0)
+
+    def test_reports_standardized_minors_and_margin(self):
+        # (1, 0, 1, 0, 2): s = 2^(1/4), standardized (0, 2^(-1/2), 0, 1); the
+        # decisive minor is det = 2^(-1/2) - 2^(-3/2) = 2^(-3/2)
+        rep = feasibility(MomentVector(1, 0, 1, 0, 2), tol=1e-10)
+        assert rep.scale == pytest.approx(2.0**0.25)
+        assert len(rep.minors) == 7
+        assert rep.decisive_minor == min(rep.minors) == rep.minors[-1]
+        assert rep.decisive_minor == pytest.approx(2.0**-1.5)
+        assert rep.margin == rep.decisive_minor + 1e-10
+        assert rep.det == pytest.approx(1.0)
+
+    def test_non_leading_minor_decides(self):
+        # leading minors 1, 0, 0 are nonnegative, but m4 - m2^2 = -1/2 is not:
+        # the leading minors alone would call H = [[1,1,1],[1,1,1],[1,1,1/2]] PSD
+        mv = MomentVector(1, 1, 1, 1, 0.5)
+        assert hankel_det_closed_form(mv) == 0.0
+        assert np.linalg.eigvalsh(hankel(mv).entries)[0] < 0.0
+        assert not feasibility(mv).psd
+
+    def test_agrees_with_eigenvalues(self):
+        rng = np.random.default_rng(11)
+        for _ in range(500):
+            m = rng.uniform(-1.0, 1.0, size=4)
+            mv = MomentVector(1.0, m[0], abs(m[1]), m[2], abs(m[3]))
+            std = [x / mv.m4 ** (j / 4) for j, x in enumerate(mv.as_tuple())]
+            h = np.array([[std[i + j] for j in range(3)] for i in range(3)])
+            min_eig = np.linalg.eigvalsh(h)[0]
+            if abs(min_eig) > 1e-6:
+                assert feasibility(mv).psd == (min_eig > 0.0)
+
+    def test_array_verdict_matches_scalar(self):
+        rng = np.random.default_rng(12)
+        m1, m3 = rng.uniform(-1.0, 1.0, size=(2, 300))
+        m2, m4 = rng.uniform(0.0, 1.0, size=(2, 300))
+        psd, minors, s = psd_verdict(m1, m2, m3, m4)
+        for k in range(300):
+            rep = feasibility(MomentVector(1.0, *(float(m[k]) for m in (m1, m2, m3, m4))))
+            assert psd[k] == rep.psd
+            assert s[k] == rep.scale
+            assert [float(d if np.isscalar(d) else d[k]) for d in minors] == list(rep.minors)
+
+    def test_verdict_invariant_under_scaling(self):
+        for mv in (MomentVector(1, 0, 1, 0, 1), MomentVector(1, 0, 2, 2, 6), MomentVector(1, 0, 1, 0, 0.99)):
+            base = feasibility(mv)
+            for lam in 10.0 ** np.arange(-6.0, 7.0):
+                rep = feasibility(scale_moments(mv, float(lam)))
+                assert rep.psd == base.psd
+                assert rep.decisive_minor == pytest.approx(base.decisive_minor, abs=1e-13)
+
+    def test_underflowed_point_mass_is_feasible(self):
+        # an atom at 1e-100 has m4 = 0: X = 0 up to underflow, nothing to standardize
+        rep = feasibility(moments_from_discrete(dist((1e-100, 1.0))))
+        assert rep.psd and rep.scale == 0.0
+        assert not feasibility(MomentVector(1, 0, 1, 0, 0)).psd
+
+
+class TestStandardize:
+    def test_unit_fourth_moment_and_range(self):
+        for mv in (MomentVector(1, -1e70, 1e150, 1e220, 1e300), MomentVector(1, 1e-80, 1e-160, -1e-240, 1e-300)):
+            s, (a1, a2, a3, a4) = standardize(mv.m1, mv.m2, mv.m3, mv.m4)
+            assert s == pytest.approx(mv.m4**0.25)
+            assert a4 == pytest.approx(1.0, rel=1e-15)
+            assert (a1, a2, a3) == pytest.approx((mv.m1 / s, mv.m2 / s**2, mv.m3 / s**3), rel=1e-14)
+
+    def test_zero_fourth_moment(self):
+        assert standardize(0.0, 0.0, 0.0, 0.0) == (0.0, (0.0, 0.0, 0.0, 0.0))
+
+
+def test_root_is_correctly_rounded():
+    xs = np.random.default_rng(13).uniform(0.0, 1e6, size=2000)
+    assert all(root(float(x)) == math.sqrt(x) for x in xs)
+    np.testing.assert_array_equal(root(xs), np.sqrt(xs))
 
 
 class TestScaleMoments:

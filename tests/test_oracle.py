@@ -286,6 +286,18 @@ class TestOracleExtremeGiven:
             assert iv.lo - 1e-12 <= lo <= hi <= iv.hi + 1e-12
             assert max(lo - iv.lo, iv.hi - hi) <= 1e-4
 
+    def test_degenerate_min_vertex_certifies_quickly(self):
+        # min m3 given (0, 2, 6) ends at the two-point law {-2, 1}: 2 atoms on
+        # 4 rows, a degenerate vertex around which Bland's rule crawled
+        g = OracleConfig().grid()
+        A = np.vstack([np.ones_like(g), g, g**2, g**4])
+        b = np.array([1.0, 0.0, 2.0, 6.0])
+        c = -(g**3)
+        sol = lp_max(A, b, c)
+        check_certificate(A, b, c, sol.x, sol.y)
+        assert sol.pivots <= 40
+        assert c @ sol.x == pytest.approx(2.0, abs=1e-9)
+
     def test_exact_grid_pair(self):
         # (0, 2, 6) comes from the zero-mean distribution on {-1, 2}
         lo, hi = oracle_extreme_m3_given(0.0, 2.0, 6.0, COARSE)
