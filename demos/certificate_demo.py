@@ -31,7 +31,7 @@ print("\nHankel matrix:")
 print(np.array_str(h.entries, precision=6))
 
 rep = feasibility(mv)
-print(f"\nPSD: {rep.psd}, det = {rep.det:.3e}  (singular: boundary case)")
+print(f"\nPSD: {rep.psd}, standardized det = {rep.minors[-1]:.3e}  (singular: boundary case)")
 
 cert = certificate_from_hankel(mv)
 a0, a1, a2 = cert.coeffs

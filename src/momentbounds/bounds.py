@@ -21,8 +21,8 @@ from .moments import (
     DiscreteDistribution,
     InfeasibleMomentsError,
     MomentVector,
-    feasibility,
     floor_at,
+    psd_verdict,
     root,
     standardize,
 )
@@ -67,7 +67,7 @@ M1_PRECONDITION_TOL = 1e-12
 
 def mean_nonpositive(mv: MomentVector) -> bool:
     """The precondition m1 <= 0 of the sharp bounds, to M1_PRECONDITION_TOL * s."""
-    return mv.m1 <= M1_PRECONDITION_TOL * root(root(mv.m4))
+    return mv.m1 <= M1_PRECONDITION_TOL * mv.s
 
 
 def _check_mean_nonpositive(mv: MomentVector) -> None:
@@ -132,7 +132,7 @@ class ExtremalSpec:
 
 
 def _require_feasible(mv: MomentVector) -> None:
-    if not feasibility(mv).psd:
+    if not psd_verdict(*mv.unit)[0]:
         raise InfeasibleMomentsError("not a moment vector")
 
 
@@ -143,8 +143,14 @@ def sqrt_bound(m2, m4):
 
 
 def quarter_bound(m4):
-    """(4/27)^(1/4) m4^(3/4); float or array."""
-    return QUARTER_CONSTANT * m4**0.75
+    """(4/27)^(1/4) m4^(3/4); float or array.
+
+    m4^(3/4) is taken as r sqrt(r) with r = sqrt(m4), from correctly rounded
+    square roots, so floats and arrays agree bit for bit (``x ** 0.75``
+    rounds differently in libm and numpy).
+    """
+    r = root(m4)
+    return QUARTER_CONSTANT * (r * root(r))
 
 
 def interval_ends(m1, m2, m4):
@@ -166,36 +172,33 @@ def bound_trivial(mv: MomentVector) -> float:
     return mv.m4**0.75
 
 
-def _bound_result(mv: MomentVector, s: float, unit_bound: float, unit_m3: float, tol: float, witness) -> BoundResult:
+def _bound_result(mv: MomentVector, unit_bound: float, tol: float, witness) -> BoundResult:
     """BoundResult from the bound of X / s; ``witness()`` builds the witness of X / s.
 
     For s = 0 (m4 = 0) both bounds and the witness are 0.
     """
-    scaled_slack = unit_bound - unit_m3
+    s = mv.s
+    scaled_slack = unit_bound - mv.unit[2]
     bound = unit_bound * s * s * s
     tight = abs(scaled_slack) <= tol
     law = DiscreteDistribution(tuple((s * x, p) for x, p in witness().atoms)) if tight else None
     return BoundResult(bound, bound - mv.m3, scaled_slack, tight, law)
 
 
-def bound_sqrt(
-    mv: MomentVector, tol: float = DEFAULT_TIGHT_TOL, check: bool = True
-) -> BoundResult:
+def bound_sqrt(mv: MomentVector, tol: float = DEFAULT_TIGHT_TOL) -> BoundResult:
     """The bound m3 <= sqrt(m4 m2 - m2^3), valid when m1 <= 0.
 
     Tight exactly for the zero-mean two-point distributions; when tight,
     the witness reconstructs (u, v) from m2 = uv and m3 = uv(v - u).
     The verdict and the witness are computed for X / s, s = m4^(1/4).
-    ``check=False`` skips the PSD precondition (caller already verified it).
     """
     _check_mean_nonpositive(mv)
-    if check:
-        _require_feasible(mv)
-    s, (_, a2, a3, a4) = standardize(mv.m1, mv.m2, mv.m3, mv.m4)
+    _require_feasible(mv)
+    _, a2, a3, a4 = mv.unit
     unit_bound, s2 = sqrt_bound(a2, a4)
     if s2 < -tol:
         raise InfeasibleMomentsError("not a moment vector")
-    return _bound_result(mv, s, unit_bound, a3, tol, lambda: _sqrt_witness(a2, a3))
+    return _bound_result(mv, unit_bound, tol, lambda: _sqrt_witness(a2, a3))
 
 
 def _sqrt_witness(m2: float, m3: float) -> DiscreteDistribution:
@@ -207,9 +210,7 @@ def _sqrt_witness(m2: float, m3: float) -> DiscreteDistribution:
     return two_point_zero_mean(m2 / v, v)
 
 
-def bound_quarter(
-    mv: MomentVector, tol: float = DEFAULT_TIGHT_TOL, check: bool = True
-) -> BoundResult:
+def bound_quarter(mv: MomentVector, tol: float = DEFAULT_TIGHT_TOL) -> BoundResult:
     """The sharp bound m3 <= (4/27)^(1/4) m4^(3/4), valid when m1 <= 0.
 
     Obtained from ``bound_sqrt`` by maximizing over m2, with maximizer
@@ -219,16 +220,15 @@ def bound_quarter(
     X / s, s = m4^(1/4).
     """
     _check_mean_nonpositive(mv)
-    if check:
-        _require_feasible(mv)
-    s, (_, _, a3, a4) = standardize(mv.m1, mv.m2, mv.m3, mv.m4)
+    _require_feasible(mv)
+    a4 = mv.unit[3]
 
     def witness() -> DiscreteDistribution:
         if a4 > 0.0:
             return extremal_from_sigma((a4 / 3.0) ** 0.25)
         return DiscreteDistribution.point_mass(0.0)
 
-    return _bound_result(mv, s, quarter_bound(a4), a3, tol, witness)
+    return _bound_result(mv, quarter_bound(a4), tol, witness)
 
 
 def m3_interval(
@@ -283,18 +283,18 @@ def certificate_from_hankel(
     within tol of 0, H has rank 1 and the law is the point mass at m1.
     Weights are solved from m0 = 1 and m1.
     """
-    rep = feasibility(mv)
-    if not rep.psd:
+    psd, minors = psd_verdict(*mv.unit)
+    if not psd:
         raise InfeasibleMomentsError("not a moment vector")
-    if abs(rep.minors[-1]) > tol:
+    if abs(minors[-1]) > tol:
         raise InfeasibleMomentsError(
             "interior point: no finite-support certificate of order <= 2"
         )
-    s, (a1, a2, a3, a4) = standardize(mv.m1, mv.m2, mv.m3, mv.m4)
+    a1, a2, a3, a4 = mv.unit
     rows = ((1.0, a1, a2), (a1, a2, a3), (a2, a3, a4))
     null = max((_cross(rows[i], rows[j]) for i, j in ((0, 1), (0, 2), (1, 2))), key=_norm)
     size = _norm(null)
-    unit = s if s > 0.0 else 1.0
+    unit = mv.s if mv.s > 0.0 else 1.0
     if size <= tol:
         roots: tuple[float, ...] = (float(mv.m1),)
         coeffs = (-mv.m1, 1.0, 0.0)

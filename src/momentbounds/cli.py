@@ -22,13 +22,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
+from dataclasses import asdict
 from typing import Any, Optional
 
 from . import __version__
 from .bounds import (
-    QUARTER_CONSTANT,
     BoundResult,
     ExtremalSpec,
     bound_quarter,
@@ -38,11 +39,11 @@ from .bounds import (
     extremal_from_sigma,
     m3_interval,
     mean_nonpositive,
+    quarter_bound,
 )
 from .moments import (
     CertificateError,
     DiscreteDistribution,
-    FeasibilityReport,
     InfeasibleMomentsError,
     MomentVector,
     abs_third_moment,
@@ -96,16 +97,6 @@ def _moments_json(mv: MomentVector) -> dict[str, float]:
     return {"m0": mv.m0, "m1": mv.m1, "m2": mv.m2, "m3": mv.m3, "m4": mv.m4}
 
 
-def _feasibility_json(rep: FeasibilityReport) -> dict[str, Any]:
-    return {
-        "psd": rep.psd,
-        "scale": rep.scale,
-        "minors": list(rep.minors),
-        "decisive_minor": rep.decisive_minor,
-        "margin": rep.margin,
-    }
-
-
 def _bound_json(result: BoundResult) -> dict[str, Any]:
     out: dict[str, Any] = {
         "bound": result.bound,
@@ -131,8 +122,8 @@ def _load_moment_vector(args: argparse.Namespace) -> tuple[MomentVector, Any]:
 
 
 def _dumps(report: dict[str, Any]) -> str:
-    """The report as strict JSON: a value beyond double range, such as det H
-    of a law at scale 1e60 (degree 6), is an overflow, not "Infinity"."""
+    """The report as strict JSON: a value beyond double range is an
+    overflow, not "Infinity"."""
     try:
         return json.dumps(report, indent=2, allow_nan=False)
     except ValueError:
@@ -152,14 +143,12 @@ def cmd_moments(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
         dist = parse_distribution_file(args.file)
         mv = moments_from_discrete(dist)
         echo = {"file": args.file, "atoms": _atoms_json(dist)}
-    rep = feasibility(mv)
     report = _base_report("moments", echo)
     report.update(
         {
             "moments": _moments_json(mv),
             "abs_third_moment": abs_third_moment(dist),
-            "hankel_det": rep.det,
-            "feasibility": _feasibility_json(rep),
+            "feasibility": asdict(feasibility(mv)),
         }
     )
     return report, EXIT_OK
@@ -173,17 +162,15 @@ def cmd_bound(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
     report = _base_report("bound", echo)
     report["moments"] = _moments_json(mv)
     report["tolerance"] = args.tol
-    report["feasibility"] = _feasibility_json(rep)
+    report["feasibility"] = asdict(rep)
     iv = m3_interval(mv.m1, mv.m2, mv.m4, tol=args.tol)
     report["interval"] = {"lo": iv.lo, "hi": iv.hi}
     report["bounds"] = {"trivial": {"bound": bound_trivial(mv)}}
     if not mean_nonpositive(mv):
         report["note"] = "sharp bounds require m1 <= 0; reporting the interval instead"
         return report, EXIT_OK
-    sqrt_res = bound_sqrt(mv, tol=args.tol, check=False)
-    quarter_res = bound_quarter(mv, tol=args.tol, check=False)
-    report["bounds"]["sqrt"] = _bound_json(sqrt_res)
-    report["bounds"]["quarter"] = _bound_json(quarter_res)
+    report["bounds"]["sqrt"] = _bound_json(bound_sqrt(mv, tol=args.tol))
+    report["bounds"]["quarter"] = _bound_json(bound_quarter(mv, tol=args.tol))
     try:
         cert = certificate_from_hankel(mv, tol=args.tol)
     except InfeasibleMomentsError:
@@ -215,7 +202,7 @@ def cmd_extremal(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
             "v": spec.v,
             "atoms": _atoms_json(dist),
             "moments": _moments_json(mv),
-            "quarter_bound": QUARTER_CONSTANT * mv.m4**0.75,
+            "quarter_bound": quarter_bound(mv.m4),
         }
     )
     return report, EXIT_OK
@@ -233,7 +220,7 @@ def cmd_verify(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
         m4_target=args.m4,
     )
     oracle = oracle_max_m3(cfg)
-    sharp = QUARTER_CONSTANT * args.m4**0.75
+    sharp = quarter_bound(args.m4)
     gap = sharp - oracle.max_m3
     falsifier = random_falsifier(args.trials, args.seed)
     report = _base_report(
@@ -275,6 +262,14 @@ def cmd_verify(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
     return report, EXIT_OK if ok else EXIT_VERIFY_FAILED
 
 
+def positive_float(text: str) -> float:
+    """An argparse type: a finite float above 0."""
+    value = float(text)
+    if not (value > 0.0 and math.isfinite(value)):
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}")
+    return value
+
+
 #: A negative number, exponent form included: argparse alone reads
 #: "-1e-05" as an option flag.
 NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
@@ -303,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="moment vector instead of a file",
     )
     p.add_argument(
-        "--tol", type=float, default=1e-8, help="tightness tolerance on the standardized slack (default 1e-8)"
+        "--tol", type=positive_float, default=1e-8, help="tightness tolerance on the standardized slack (default 1e-8)"
     )
     p.set_defaults(func=cmd_bound)
 
@@ -324,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m4", type=float, default=1.0)
     p.add_argument("--trials", type=int, default=10000)
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--gap-tol", type=float, default=DEFAULT_GAP_TOL)
+    p.add_argument("--gap-tol", type=positive_float, default=DEFAULT_GAP_TOL)
     p.set_defaults(func=cmd_verify)
 
     for p in (parser, *sub.choices.values()):

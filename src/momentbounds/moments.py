@@ -13,7 +13,7 @@ tolerance.  Only ``hankel`` builds an array, so only it imports numpy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 if TYPE_CHECKING:
@@ -25,7 +25,6 @@ __all__ = [
     "DiscreteDistribution",
     "HankelMatrix",
     "FeasibilityReport",
-    "moment_scale",
     "moments_from_discrete",
     "moments_from_samples",
     "abs_third_moment",
@@ -66,14 +65,6 @@ def root(v):
     return math.sqrt(v) if isinstance(v, (float, int)) else v**0.5
 
 
-def moment_scale(m4):
-    """Reporting scale max(1, m4^(3/2)), of degree 6 like det H; float or array.
-
-    No verdict uses it: verdicts are reached on the standardized vector.
-    """
-    return floor_at(m4**1.5, 1.0)
-
-
 def standardize(m1, m2, m3, m4):
     """(s, (m1/s, m2/s^2, m3/s^3, m4/s^4)) with s = m4^(1/4): the moments of X / s.
 
@@ -91,13 +82,19 @@ def standardize(m1, m2, m3, m4):
 
 @dataclass(frozen=True)
 class MomentVector:
-    """Raw moments (m0, m1, m2, m3, m4) with m0 = 1."""
+    """Raw moments (m0, m1, m2, m3, m4) with m0 = 1.
+
+    ``s`` and ``unit`` are the standardization ``standardize(m1, m2, m3, m4)``,
+    computed once here: every verdict on the vector is reached on ``unit``.
+    """
 
     m0: float
     m1: float
     m2: float
     m3: float
     m4: float
+    s: float = field(init=False, repr=False, compare=False)
+    unit: tuple[float, float, float, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         values = (self.m0, self.m1, self.m2, self.m3, self.m4)
@@ -108,13 +105,12 @@ class MomentVector:
         object.__setattr__(self, "m0", 1.0)
         if self.m2 < 0.0 or self.m4 < 0.0:
             raise InfeasibleMomentsError("even moments must be nonnegative")
+        s, unit = standardize(self.m1, self.m2, self.m3, self.m4)
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "unit", unit)
 
     def as_tuple(self) -> tuple[float, float, float, float, float]:
         return (self.m0, self.m1, self.m2, self.m3, self.m4)
-
-    @property
-    def scale(self) -> float:
-        return moment_scale(self.m4)
 
 
 @dataclass(frozen=True)
@@ -245,55 +241,52 @@ def principal_minors(m1, m2, m3, m4):
     return (1.0, m2, m4, m2 - m1 * m1, m4 - m2 * m2, m2 * m4 - m3 * m3, hankel_det(m1, m2, m3, m4))
 
 
-def psd_verdict(m1, m2, m3, m4, tol: float = DEFAULT_PSD_TOL):
-    """(psd, minors, s): H is PSD iff every principal minor is nonnegative.
+def psd_verdict(a1, a2, a3, a4, tol: float = DEFAULT_PSD_TOL):
+    """(psd, minors): H is PSD iff every principal minor is nonnegative.
 
-    The minors are those of the standardized vector (see ``standardize``),
-    each required to be at least -tol.  m4 = 0 forces X = 0 up to underflow
-    (an atom at 1e-90 has m4 = 0 and m1 = 1e-90), so there the minors of
-    the unscaled vector are held to -tol.  Floats or arrays of equal shape.
+    Takes the standardized vector (see ``standardize``) and requires each
+    of its principal minors to be at least -tol.  m4 = 0 forces X = 0 up
+    to underflow (an atom at 1e-90 has m4 = 0 and m1 = 1e-90); there the
+    standardization leaves the vector unscaled and its minors are held to
+    the same -tol.  Floats or arrays of equal shape.
     """
-    s, std = standardize(m1, m2, m3, m4)
-    minors = principal_minors(*std)
+    minors = principal_minors(a1, a2, a3, a4)
     psd = minors[1] >= -tol
     for d in minors[2:]:
         psd = psd & (d >= -tol)
-    return psd, minors, s
+    return psd, minors
 
 
 @dataclass(frozen=True)
 class FeasibilityReport:
     """PSD verdict on the Hankel matrix of a moment vector, and how it was reached.
 
-    ``minors`` are the seven standardized principal minors (see
-    ``principal_minors``), ``scale`` the standardization scale s = m4^(1/4),
-    ``decisive_minor`` the smallest minor and ``margin`` its excess over
-    -tol: psd iff margin >= 0.  ``det`` is det H in the units
-    of the input, s^6 times the standardized one.  PSD-ness is a necessary
-    condition for a representing distribution to exist; sufficiency (rank
-    conditions of the truncated moment problem) is not certified here.
+    ``scale`` is the standardization scale s = m4^(1/4), ``minors`` the
+    seven standardized principal minors (see ``principal_minors``; the
+    last is the standardized det H), ``decisive_minor`` the smallest minor
+    and ``margin`` its excess over -DEFAULT_PSD_TOL: psd iff margin >= 0.
+    PSD-ness is a necessary condition for a representing distribution to
+    exist; sufficiency (rank conditions of the truncated moment problem)
+    is not certified here.
     """
 
     psd: bool
-    det: float
-    minors: tuple[float, ...]
     scale: float
+    minors: tuple[float, ...]
     decisive_minor: float
     margin: float
 
 
-def feasibility(mv: MomentVector, tol: float = DEFAULT_PSD_TOL) -> FeasibilityReport:
+def feasibility(mv: MomentVector) -> FeasibilityReport:
     """Check whether the Hankel matrix of ``mv`` is positive semidefinite.
 
     The verdict is ``True`` iff every standardized principal minor is at
-    least -tol (see ``psd_verdict``).  Infeasibility is reported, never raised.
+    least -DEFAULT_PSD_TOL (see ``psd_verdict``).  Infeasibility is
+    reported, never raised.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    psd, minors, s = psd_verdict(mv.m1, mv.m2, mv.m3, mv.m4, tol)
-    det = minors[-1] * s * s * s * s * s * s if s > 0.0 else minors[-1]
+    psd, minors = psd_verdict(*mv.unit)
     decisive = min(minors)
-    return FeasibilityReport(bool(psd), det, minors, s, decisive, decisive + tol)
+    return FeasibilityReport(bool(psd), mv.s, minors, decisive, decisive + DEFAULT_PSD_TOL)
 
 
 def scale_moments(mv: MomentVector, lam: float) -> MomentVector:

@@ -27,9 +27,9 @@ from .moments import (
     InfeasibleMomentsError,
     MomentVector,
     floor_at,
-    moment_scale,
     moments_from_discrete,
     psd_verdict,
+    standardize,
 )
 
 __all__ = [
@@ -322,7 +322,9 @@ def oracle_extreme_m3_given(
 class FalsifierReport:
     """Violation counts from randomized stress-testing of the bounds.
 
-    ``worst_trial`` has the smallest scaled margin (``worst_scaled_slack``);
+    ``worst_trial`` has the smallest scaled margin (``worst_scaled_slack``):
+    the least of the two bounds' slacks and the m3 interval's two margins,
+    each divided by s^3, s = m4^(1/4), like ``BoundResult.scaled_slack``.
     ``replay_trial`` rebuilds any trial from (seed, index).
     """
 
@@ -348,7 +350,8 @@ class FalsifierReport:
 
 
 class ReplayedTrial(NamedTuple):
-    """One falsifier trial: its law, the moments and scaled margin the falsifier computed."""
+    """One falsifier trial: its law, the moments and scaled margin (slack / s^3)
+    the falsifier computed."""
 
     law: DiscreteDistribution
     moments: MomentVector
@@ -397,24 +400,24 @@ def _row_sums(a: np.ndarray) -> np.ndarray:
 def _evaluate(xs: np.ndarray, ws: np.ndarray, tol: float):
     """Moments, scaled margins and violation flags (rows sqrt, quarter, interval, psd).
 
-    The bounds come from the formula helpers the scalar API uses, so the
-    falsifier tests the shipped arithmetic.
+    The moments are standardized once, and the verdicts come from the
+    formula helpers on the same standardized arguments the scalar API
+    gives them, so the falsifier tests the shipped arithmetic.  Margins
+    and the cut ``tol`` are in units of s^3.
     """
     moments = [np.ones(len(xs))]
     terms = ws
     for _ in range(4):
         terms = terms * xs
         moments.append(_row_sums(terms))
-    _, m1, m2, m3, m4 = moments
-    psd = psd_verdict(m1, m2, m3, m4)[0]
-    scale = moment_scale(m4)
-    slack_sqrt = sqrt_bound(m2, m4)[0] - m3
-    slack_quarter = quarter_bound(m4) - m3
-    lo, hi, _, _ = interval_ends(m1, m2, m4)
-    cut = tol * scale
-    margin = np.minimum.reduce([slack_sqrt, slack_quarter, m3 - lo, hi - m3]) / scale
-    outside = ~MomentInterval(lo, hi).contains(m3, cut)
-    return moments, margin, np.stack([slack_sqrt < -cut, slack_quarter < -cut, outside, ~psd])
+    _, (a1, a2, a3, a4) = standardize(*moments[1:])
+    psd = psd_verdict(a1, a2, a3, a4)[0]
+    slack_sqrt = sqrt_bound(a2, a4)[0] - a3
+    slack_quarter = quarter_bound(a4) - a3
+    lo, hi, _, _ = interval_ends(a1, a2, a4)
+    margin = np.minimum.reduce([slack_sqrt, slack_quarter, a3 - lo, hi - a3])
+    outside = ~MomentInterval(lo, hi).contains(a3, tol)
+    return moments, margin, np.stack([slack_sqrt < -tol, slack_quarter < -tol, outside, ~psd])
 
 
 def random_falsifier(
@@ -422,7 +425,9 @@ def random_falsifier(
 ) -> FalsifierReport:
     """Stress-test the bounds on random discrete distributions.
 
-    Each trial draws up to ``atom_budget`` atoms (see ``_trial_laws``).
+    Each trial draws up to ``atom_budget`` atoms (see ``_trial_laws``).  A
+    bound or interval end is violated when it is missed by more than
+    ``tol`` s^3, s = m4^(1/4), the unit of ``BoundResult.scaled_slack``.
     Trials go in chunks of FALSIFIER_CHUNK; the result is the same for any
     chunk size and fully reproducible from ``seed``.
     """

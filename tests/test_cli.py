@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from momentbounds import cli, oracle
+from momentbounds import bounds, cli, moments, oracle
 from momentbounds.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -31,7 +31,7 @@ class TestMomentsCommand:
         code, report, _ = run(capsys, "moments", path)
         assert code == 0
         assert report["moments"] == {"m0": 1.0, "m1": 0.0, "m2": 1.0, "m3": 0.0, "m4": 1.0}
-        assert report["hankel_det"] == 0.0
+        assert report["feasibility"]["minors"][-1] == 0.0
         assert report["feasibility"]["psd"] is True
         assert report["version"]
 
@@ -70,12 +70,12 @@ class TestMomentsCommand:
         assert report is None
         assert err.count("\n") == 1 and "nested too deeply" in err
 
-    def test_unrepresentable_determinant_exit_2(self, capsys):
-        # det H of this law is of order 1e360: no JSON number holds it
+    def test_law_at_scale_1e60(self, capsys):
+        # det H of this law is of order 1e360; the report carries only standardized minors
         code, report, err = run(capsys, "moments", "--samples", "1e60", "-1e60", "0")
-        assert code == 2
-        assert report is None
-        assert err.count("\n") == 1 and "too large" in err
+        assert code == 0 and err == ""
+        assert report["feasibility"]["psd"] is True
+        assert report["feasibility"]["scale"] == pytest.approx((2.0 / 3.0) ** 0.25 * 1e60, rel=1e-12)
 
     def test_reports_standardized_minors(self, capsys):
         code, report, _ = run(capsys, "moments", "--samples", "-1", "1")
@@ -255,6 +255,114 @@ class TestVerifyCommand:
     def test_zero_trials_exit_2(self, capsys):
         code, _, err = run(capsys, "verify", "--trials", "0")
         assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bound", "--moments", "1", "0", "1", "0", "1", "--tol", "-1"],
+        ["bound", "--moments", "1", "0", "1", "0", "1", "--tol", "nan"],
+        ["verify", "--gap-tol", "nan"],
+        ["verify", "--gap-tol", "-1"],
+    ],
+    ids=["tol-negative", "tol-nan", "gap-tol-nan", "gap-tol-negative"],
+)
+def test_bad_tolerance_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "must be a positive finite number" in capsys.readouterr().err
+
+
+def test_bound_standardizes_twice(capsys, monkeypatch):
+    # once for the moment vector, once inside m3_interval, which takes raw floats
+    calls, standardize = [], moments.standardize
+
+    def counting(*args):
+        calls.append(args)
+        return standardize(*args)
+
+    monkeypatch.setattr(bounds, "standardize", counting)
+    monkeypatch.setattr(moments, "standardize", counting)
+    code, report, _ = run(capsys, "bound", "--moments", "1", "0", "2", "2", "6")
+    assert code == 0 and "certificate" in report
+    assert len(calls) == 2
+
+
+def key_paths(node, prefix=""):
+    """Dotted paths of every key of a report; "[]" stands for the items of a list."""
+    if isinstance(node, dict):
+        return {p for k, v in node.items() for p in {prefix + k} | key_paths(v, f"{prefix}{k}.")}
+    if isinstance(node, list):
+        return {p for v in node for p in key_paths(v, f"{prefix}[].")}
+    return set()
+
+
+def keys(prefix, *names):
+    return {prefix} | {f"{prefix}.{n}" for n in names}
+
+
+HEAD = {"tool", "version", "command", "input"}
+ATOMS = ("[].x", "[].p")
+MOMENTS = keys("moments", "m0", "m1", "m2", "m3", "m4")
+FEASIBILITY = keys("feasibility", "psd", "scale", "minors", "decisive_minor", "margin")
+BOUND = ("bound", "slack", "scaled_slack", "tight")
+BOUND_HEAD = HEAD | MOMENTS | FEASIBILITY | {"input.moments", "tolerance"} | keys("interval", "lo", "hi")
+SHARP = keys("bounds", "trivial", "trivial.bound", "sqrt", "quarter") | keys("bounds.sqrt", *BOUND) | keys("bounds.quarter", *BOUND)
+
+REPORT_SHAPES = {
+    "moments-file": (
+        ["moments", "LAW"],
+        HEAD | keys("input", "file", "atoms", *(f"atoms.{a}" for a in ATOMS)) | MOMENTS | {"abs_third_moment"} | FEASIBILITY,
+    ),
+    "moments-samples": (
+        ["moments", "--samples", "-1", "1"],
+        HEAD | {"input.samples"} | MOMENTS | {"abs_third_moment"} | FEASIBILITY,
+    ),
+    "bound-certificate": (
+        ["bound", "--moments", "1", "0", "2", "2", "6"],
+        BOUND_HEAD | SHARP | keys("bounds.sqrt.witness", *ATOMS)
+        | keys("certificate", "coeffs", "roots", "recovered", *(f"recovered.{a}" for a in ATOMS)),
+    ),
+    "bound-interior": (["bound", "--moments", "1", "-0.25", "1.5", "0.3", "4.5"], BOUND_HEAD | SHARP),
+    "bound-positive-mean": (
+        ["bound", "--moments", "1", "0.5", "1", "0", "2"],
+        BOUND_HEAD | keys("bounds", "trivial", "trivial.bound") | {"note"},
+    ),
+    "interval": (["interval", "0", "1", "2"], HEAD | keys("input", "m1", "m2", "m4") | keys("interval", "lo", "hi")),
+    "extremal": (
+        ["extremal", "1"],
+        HEAD | {"input.sigma", "u", "v", "quarter_bound"} | keys("atoms", *ATOMS) | MOMENTS,
+    ),
+    "verify": (
+        ["verify", "--step", "0.1", "--trials", "100"],
+        HEAD
+        | keys("input", "grid_lo", "grid_hi", "step", "m4", "trials", "seed")
+        | {"sharp_bound", "oracle_max_m3", "gap", "gap_tolerance", "candidates_examined"}
+        | {"constraint_residuals", "oracle_dual", "lp_pivots", "verified"}
+        | keys("oracle_argmax", *ATOMS)
+        | keys(
+            "falsifier",
+            "trials",
+            "eq_sqrt_violations",
+            "eq_quarter_violations",
+            "interval_violations",
+            "psd_violations",
+            "worst_scaled_slack",
+            "worst_trial",
+            "violating_trials",
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", REPORT_SHAPES)
+def test_report_shape(case, tmp_path, capsys):
+    argv, shape = REPORT_SHAPES[case]
+    law = write_atoms(tmp_path, [{"x": -1.0, "p": 0.5}, {"x": 1.0, "p": 0.5}])
+    code, report, _ = run(capsys, *(law if a == "LAW" else a for a in argv))
+    assert code == 0
+    assert key_paths(report) == shape
 
 
 def test_unexpected_exception_exit_4(capsys, monkeypatch):

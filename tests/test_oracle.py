@@ -24,6 +24,12 @@ from momentbounds import (
 )
 from momentbounds import oracle
 
+
+def tol_scale(mv):
+    """max(1, m4^(3/2)), the scale of this module's absolute tolerances."""
+    return max(1.0, mv.m4**1.5)
+
+
 COARSE = OracleConfig(grid_lo=-2.0, grid_hi=2.0, grid_step=0.1)
 
 #: Every grid point of [-2, 2] at step 1/4, exactly.
@@ -121,7 +127,7 @@ class TestOracleMaxM3:
     def test_never_exceeds_quarter_bound(self):
         res = oracle_max_m3(COARSE)
         mv = moments_from_discrete(res.argmax)
-        assert res.max_m3 <= bound_quarter(mv).bound + 1e-9 * mv.scale
+        assert res.max_m3 <= bound_quarter(mv).bound + 1e-9 * tol_scale(mv)
 
     def test_constraint_residuals(self):
         res = oracle_max_m3(COARSE)
@@ -344,7 +350,7 @@ class TestRandomFalsifier:
 
     def test_lists_violating_trials_across_chunks(self, monkeypatch):
         monkeypatch.setattr(oracle, "FALSIFIER_CHUNK", 3)
-        # a cut of -1e3 * scale flags every trial, since each slack is below 2 * scale
+        # a cut of -1e3 flags every trial, since each scaled slack is below 2
         rep = random_falsifier(trials=40, seed=2, tol=-1e3)
         assert rep.eq_quarter_violations == 40
         assert rep.violating_trials == tuple(range(oracle.LISTED_VIOLATIONS))
@@ -358,13 +364,14 @@ class TestRandomFalsifier:
             assert a == pytest.approx(b, rel=1e-12, abs=1e-15)
         mv = trial.moments
         iv = m3_interval(mv.m1, mv.m2, mv.m4)
+        s3 = mv.s**3
         scalar = min(
-            bound_sqrt(mv, check=False).slack,
-            bound_quarter(mv, check=False).slack,
-            mv.m3 - iv.lo,
-            iv.hi - mv.m3,
+            bound_sqrt(mv).scaled_slack,
+            bound_quarter(mv).scaled_slack,
+            (mv.m3 - iv.lo) / s3,
+            (iv.hi - mv.m3) / s3,
         )
-        assert scalar / mv.scale == pytest.approx(trial.scaled_margin, abs=1e-13)
+        assert scalar == pytest.approx(trial.scaled_margin, abs=1e-13)
 
     def test_two_point_draws_are_equality_cases(self):
         import numpy as np
@@ -377,4 +384,4 @@ class TestRandomFalsifier:
             # u <= v keeps m3 >= 0, the regime where equality obtains
             mv = moments_from_discrete(two_point_zero_mean(u, v))
             res = bound_sqrt(mv)
-            assert abs(res.slack) <= 1e-10 * mv.scale
+            assert abs(res.slack) <= 1e-10 * tol_scale(mv)
