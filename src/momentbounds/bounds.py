@@ -34,7 +34,6 @@ __all__ = [
     "BoundResult",
     "MomentInterval",
     "Certificate",
-    "ExtremalSpec",
     "bound_trivial",
     "bound_sqrt",
     "bound_quarter",
@@ -116,21 +115,6 @@ class Certificate:
     recovered: DiscreteDistribution
 
 
-@dataclass(frozen=True)
-class ExtremalSpec:
-    """Parameters (sigma, u, v) of the distribution attaining the quarter bound."""
-
-    sigma: float
-    u: float
-    v: float
-
-    @classmethod
-    def from_sigma(cls, sigma: float) -> "ExtremalSpec":
-        if not (sigma > 0.0 and math.isfinite(sigma)):
-            raise ValueError("sigma must be positive")
-        return cls(sigma=sigma, u=EXTREMAL_U_FACTOR * sigma, v=EXTREMAL_V_FACTOR * sigma)
-
-
 def _require_feasible(mv: MomentVector) -> None:
     if not psd_verdict(*mv.unit)[0]:
         raise InfeasibleMomentsError("not a moment vector")
@@ -167,8 +151,6 @@ def interval_ends(m1, m2, m4):
 
 def bound_trivial(mv: MomentVector) -> float:
     """The unconditional bound m4^(3/4) (best constant 1 without m1 <= 0)."""
-    if mv.m4 < 0.0:
-        raise InfeasibleMomentsError("degenerate fourth moment")
     return mv.m4**0.75
 
 
@@ -195,10 +177,7 @@ def bound_sqrt(mv: MomentVector, tol: float = DEFAULT_TIGHT_TOL) -> BoundResult:
     _check_mean_nonpositive(mv)
     _require_feasible(mv)
     _, a2, a3, a4 = mv.unit
-    unit_bound, s2 = sqrt_bound(a2, a4)
-    if s2 < -tol:
-        raise InfeasibleMomentsError("not a moment vector")
-    return _bound_result(mv, unit_bound, tol, lambda: _sqrt_witness(a2, a3))
+    return _bound_result(mv, sqrt_bound(a2, a4)[0], tol, lambda: _sqrt_witness(a2, a3))
 
 
 def _sqrt_witness(m2: float, m3: float) -> DiscreteDistribution:
@@ -264,11 +243,14 @@ def two_point_zero_mean(u: float, v: float) -> DiscreteDistribution:
 def extremal_from_sigma(sigma: float) -> DiscreteDistribution:
     """The two-point distribution attaining the quarter bound at scale sigma.
 
-    Moments: m2 = sigma^2, m3 = sqrt(2) sigma^3, m4 = 3 sigma^4, so that
-    m3 = (4/27)^(1/4) m4^(3/4) and m2 = sqrt(m4/3) hold with equality.
+    Its atoms are -u, v with u, v = EXTREMAL_U_FACTOR, EXTREMAL_V_FACTOR
+    times sigma.  Moments: m2 = sigma^2, m3 = sqrt(2) sigma^3,
+    m4 = 3 sigma^4, so that m3 = (4/27)^(1/4) m4^(3/4) and m2 = sqrt(m4/3)
+    hold with equality.
     """
-    spec = ExtremalSpec.from_sigma(sigma)
-    return two_point_zero_mean(spec.u, spec.v)
+    if not (sigma > 0.0 and math.isfinite(sigma)):
+        raise ValueError("sigma must be positive")
+    return two_point_zero_mean(EXTREMAL_U_FACTOR * sigma, EXTREMAL_V_FACTOR * sigma)
 
 
 def certificate_from_hankel(

@@ -31,7 +31,6 @@ from typing import Any, Optional
 from . import __version__
 from .bounds import (
     BoundResult,
-    ExtremalSpec,
     bound_quarter,
     bound_sqrt,
     bound_trivial,
@@ -163,7 +162,7 @@ def cmd_bound(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
     report["moments"] = _moments_json(mv)
     report["tolerance"] = args.tol
     report["feasibility"] = asdict(rep)
-    iv = m3_interval(mv.m1, mv.m2, mv.m4, tol=args.tol)
+    iv = m3_interval(mv.m1, mv.m2, mv.m4)
     report["interval"] = {"lo": iv.lo, "hi": iv.hi}
     report["bounds"] = {"trivial": {"bound": bound_trivial(mv)}}
     if not mean_nonpositive(mv):
@@ -192,14 +191,14 @@ def cmd_interval(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
 
 
 def cmd_extremal(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
-    spec = ExtremalSpec.from_sigma(args.sigma)
     dist = extremal_from_sigma(args.sigma)
+    (neg_u, _), (v, _) = dist.atoms
     mv = moments_from_discrete(dist)
     report = _base_report("extremal", {"sigma": args.sigma})
     report.update(
         {
-            "u": spec.u,
-            "v": spec.v,
+            "u": -neg_u,
+            "v": v,
             "atoms": _atoms_json(dist),
             "moments": _moments_json(mv),
             "quarter_bound": quarter_bound(mv.m4),

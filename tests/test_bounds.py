@@ -6,7 +6,6 @@ import pytest
 from momentbounds import (
     QUARTER_CONSTANT,
     DiscreteDistribution,
-    ExtremalSpec,
     InfeasibleMomentsError,
     MomentVector,
     bound_quarter,
@@ -179,10 +178,12 @@ class TestExtremalFromSigma:
         assert mv.m3 == pytest.approx(math.sqrt(2.0), rel=1e-13)
 
     def test_spec_invariants(self):
-        spec = ExtremalSpec.from_sigma(2.5)
-        assert spec.u == pytest.approx((math.sqrt(3) - 1) / math.sqrt(2) * 2.5, rel=1e-14)
-        assert spec.v == pytest.approx((math.sqrt(3) + 1) / math.sqrt(2) * 2.5, rel=1e-14)
-        assert spec.u * spec.v == pytest.approx(2.5**2, rel=1e-14)
+        (x1, p1), (x2, p2) = extremal_from_sigma(2.5).atoms
+        u, v = -x1, x2
+        assert u == pytest.approx((math.sqrt(3) - 1) / math.sqrt(2) * 2.5, rel=1e-14)
+        assert v == pytest.approx((math.sqrt(3) + 1) / math.sqrt(2) * 2.5, rel=1e-14)
+        assert u * v == pytest.approx(2.5**2, rel=1e-14)
+        assert (p1, p2) == pytest.approx((v / (u + v), u / (u + v)), rel=1e-14)
 
     def test_unit_fourth_moment_scale(self):
         mv = moments_from_discrete(extremal_from_sigma(3.0**-0.25))

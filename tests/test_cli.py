@@ -142,6 +142,15 @@ class TestBoundCommand:
         assert report["certificate"]["roots"] == pytest.approx([-1e75, 1e75], rel=1e-12)
         assert report["feasibility"]["scale"] == pytest.approx(1e75)
 
+    @pytest.mark.parametrize("m2", ["1.1", "0.123"])
+    def test_tiny_tightness_tol_keeps_feasible_vector(self, capsys, m2):
+        # --tol is the tightness tolerance only: feasibility keeps its own fixed tolerance
+        code, report, err = run(capsys, "bound", "--moments", "1", "0", m2, "0", "1.2100000000000002", "--tol", "1e-20")
+        assert code == 0, err
+        assert report["feasibility"]["psd"] is True
+        assert report["tolerance"] == 1e-20
+        assert report["interval"]["lo"] <= 0.0 <= report["interval"]["hi"]
+
     def test_report_shows_margins(self, capsys):
         code, report, _ = run(capsys, "bound", "--moments", "1", "0", "1", "0", "2")
         feas = report["feasibility"]

@@ -65,6 +65,25 @@ def basic_feasible_values(columns, costs, rhs):
     return values
 
 
+def exact_pair_optimum(m4_target, m1_max):
+    """Max m3 over laws on at most two points of QUARTER_GRID with m4 = m4_target
+    and m1 <= m1_max, in exact arithmetic; None if there is none."""
+    target, t = Fraction(m4_target), Fraction(m1_max)
+    best = None
+    for xi, xj in combinations(QUARTER_GRID, 2):
+        qi, qj = xi**4, xj**4
+        if qi != qj:  # the weight p on xi is fixed by m4
+            p = (target - qj) / (qi - qj)
+            ok = 0 <= p <= 1 and p * xi + (1 - p) * xj <= t
+        else:  # xi = -xj: m4 = qi for every p, and m3 falls as p grows
+            p = max(Fraction(0), (xj - t) / (xj - xi))
+            ok = qi == target and p <= 1
+        if ok:
+            m3 = p * xi**3 + (1 - p) * xj**3
+            best = m3 if best is None else max(best, m3)
+    return best
+
+
 def certificate_parts(cfg):
     """The LP of oracle_max_m3 on cfg's grid, as the oracle builds it."""
     g = cfg.grid()
@@ -261,6 +280,52 @@ class TestOracleMaxM3:
         assert three.max_m3 >= two.max_m3 - 1e-12
         # the true optimum is two-point, so the refinement is grid-resolution small
         assert three.max_m3 - two.max_m3 <= 0.05
+
+
+class TestPairOracle:
+    """``max_support=2``: the pairs of grid points that straddle m4_target."""
+
+    @staticmethod
+    def cfg(**kwargs):
+        return OracleConfig(**{"max_support": 2, **kwargs})
+
+    @pytest.mark.parametrize("m4_target, m1_max", [(1.0, 0.0), (2.5, 0.0), (1.0, -0.25), (0.5, 0.5)])
+    def test_matches_exact_brute_force(self, m4_target, m1_max):
+        cfg = self.cfg(grid_lo=-2.0, grid_hi=2.0, grid_step=0.25, m4_target=m4_target, m1_max=m1_max)
+        exact = exact_pair_optimum(m4_target, m1_max)
+        assert oracle_max_m3(cfg).max_m3 == pytest.approx(float(exact), abs=1e-12)
+
+    def test_rademacher_grid(self):
+        # x^4 = m4_target at both atoms: only the {mass, mean} family prices this pair
+        res = oracle_max_m3(self.cfg(grid_lo=-1.0, grid_hi=1.0, grid_step=2.0))
+        assert res.max_m3 == 0.0
+        assert res.argmax.atoms == ((-1.0, 0.5), (1.0, 0.5))
+
+    def test_default_grid_pinned(self):
+        res = oracle_max_m3(self.cfg())
+        assert res.max_m3 == 0.6160595068594868
+        assert res.argmax.atoms == ((-0.3900000000000001, 0.7954087254686418), (1.4800000000000004, 0.20459127453135817))
+        # left tail x 201 middle points, and 201 middle points x right tail
+        assert res.candidates_examined == 2 * 201 * 201
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"grid_lo": -0.5, "grid_hi": 0.5, "grid_step": 0.25},  # every x^4 below m4_target
+            {"grid_lo": -3.0, "grid_hi": 3.0, "grid_step": 2.0, "m4_target": 0.5},  # every x^4 above it
+            {"grid_lo": -2.0, "grid_hi": 2.0, "grid_step": 0.5, "m1_max": -10.0},
+        ],
+    )
+    def test_infeasible(self, kwargs):
+        with pytest.raises(InfeasibleMomentsError, match="infeasible configuration"):
+            oracle_max_m3(self.cfg(**kwargs))
+
+    @pytest.mark.parametrize("lam", [1e-3, 1e3])
+    def test_scale_covariant(self, lam):
+        def cfg(s):
+            return self.cfg(grid_lo=-3.0 * s, grid_hi=3.0 * s, grid_step=0.01 * s, m4_target=s**4)
+
+        assert oracle_max_m3(cfg(lam)).max_m3 == pytest.approx(lam**3 * oracle_max_m3(cfg(1.0)).max_m3, rel=1e-9)
 
 
 class TestOracleExtremeGiven:
