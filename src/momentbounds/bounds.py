@@ -22,7 +22,7 @@ from .moments import (
     InfeasibleMomentsError,
     MomentVector,
     floor_at,
-    psd_verdict,
+    psd_tol,
     root,
     standardize,
 )
@@ -116,7 +116,7 @@ class Certificate:
 
 
 def _require_feasible(mv: MomentVector) -> None:
-    if not psd_verdict(*mv.unit)[0]:
+    if not mv.psd:
         raise InfeasibleMomentsError("not a moment vector")
 
 
@@ -210,20 +210,20 @@ def bound_quarter(mv: MomentVector, tol: float = DEFAULT_TIGHT_TOL) -> BoundResu
     return _bound_result(mv, quarter_bound(a4), tol, witness)
 
 
-def m3_interval(
-    m1: float, m2: float, m4: float, tol: float = DEFAULT_TIGHT_TOL
-) -> MomentInterval:
+def m3_interval(m1: float, m2: float, m4: float) -> MomentInterval:
     """Exact two-sided range of m3 given (m1, m2, m4), any sign of m1.
 
     The Hankel determinant, as a quadratic in m3, is nonnegative exactly on
     [m1 m2 - sqrt(D), m1 m2 + sqrt(D)] with D = (m2 - m1^2)(m4 - m2^2);
     equivalently Cov(X^2, X)^2 <= Var(X^2) Var(X).  Computed for X / s,
-    s = m4^(1/4), where a tolerance tol on the variances is relative.
+    s = m4^(1/4), whose variances are minors 3 and 4 of ``MomentVector.minors``
+    and are held to the same ``psd_tol(m4)``.
     """
     if not all(math.isfinite(v) for v in (m1, m2, m4)):
         raise ValueError("non-finite moment")
     s, (a1, a2, _, a4) = standardize(m1, m2, 0.0, max(m4, 0.0))
     lo, hi, a, b = interval_ends(a1, a2, a4)
+    tol = psd_tol(m4)
     if m4 < 0.0 or a < -tol or b < -tol:
         raise InfeasibleMomentsError("infeasible (m1, m2, m4) triple")
     return MomentInterval(lo=lo * s * s * s, hi=hi * s * s * s)
@@ -265,13 +265,9 @@ def certificate_from_hankel(
     within tol of 0, H has rank 1 and the law is the point mass at m1.
     Weights are solved from m0 = 1 and m1.
     """
-    psd, minors = psd_verdict(*mv.unit)
-    if not psd:
-        raise InfeasibleMomentsError("not a moment vector")
-    if abs(minors[-1]) > tol:
-        raise InfeasibleMomentsError(
-            "interior point: no finite-support certificate of order <= 2"
-        )
+    _require_feasible(mv)
+    if abs(mv.minors[-1]) > tol:
+        raise InfeasibleMomentsError("interior point: no finite-support certificate of order <= 2")
     a1, a2, a3, a4 = mv.unit
     rows = ((1.0, a1, a2), (a1, a2, a3), (a2, a3, a4))
     null = max((_cross(rows[i], rows[j]) for i, j in ((0, 1), (0, 2), (1, 2))), key=_norm)

@@ -48,7 +48,6 @@ from .moments import (
     abs_third_moment,
     feasibility,
     moments_from_discrete,
-    moments_from_samples,
 )
 
 EXIT_OK = 0
@@ -131,17 +130,13 @@ def _dumps(report: dict[str, Any]) -> str:
 
 def cmd_moments(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
     if args.samples is not None:
-        mv = moments_from_samples(args.samples)
-        dist = DiscreteDistribution.from_pairs(
-            (x, 1.0 / len(args.samples)) for x in args.samples
-        )
+        # the empirical law, as ``moments_from_samples`` builds it
+        dist = DiscreteDistribution.from_pairs((x, 1.0 / len(args.samples)) for x in args.samples)
         echo: Any = {"samples": list(args.samples)}
     else:
-        if args.file is None:
-            raise ValueError("provide a distribution file or --samples")
         dist = parse_distribution_file(args.file)
-        mv = moments_from_discrete(dist)
         echo = {"file": args.file, "atoms": _atoms_json(dist)}
+    mv = moments_from_discrete(dist)
     report = _base_report("moments", echo)
     report.update(
         {
@@ -283,13 +278,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("moments", help="moments and feasibility of a distribution")
-    p.add_argument("file", nargs="?", help="JSON distribution file")
-    p.add_argument("--samples", type=float, nargs="+", help="raw samples instead of a file")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("file", nargs="?", help="JSON distribution file")
+    source.add_argument("--samples", type=float, nargs="+", help="raw samples instead of a file")
     p.set_defaults(func=cmd_moments)
 
     p = sub.add_parser("bound", help="evaluate the third-moment bounds")
-    p.add_argument("file", nargs="?", help="JSON distribution file")
-    p.add_argument(
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("file", nargs="?", help="JSON distribution file")
+    source.add_argument(
         "--moments",
         type=float,
         nargs=5,

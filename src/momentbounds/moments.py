@@ -3,16 +3,17 @@
 A moment vector (m0, m1, m2, m3, m4) collects the raw moments E X^j of a
 random variable X for j = 0..4, with m0 = 1 always.  Necessary for such a
 vector to come from a real random variable is that the 3x3 Hankel matrix
-H[i][j] = m_{i+j} is positive semidefinite.  ``feasibility`` decides that
-exactly from the seven principal minors of H (Curto & Fialkow 1991),
-computed on the standardized vector m_j / s^j with s = m4^(1/4), the
-moments of X / s, and reports the decisive minor with its margin over the
-tolerance.  Only ``hankel`` builds an array, so only it imports numpy.
+H[i][j] = m_{i+j} is positive semidefinite.  A ``MomentVector`` decides
+that once, when built, from the seven principal minors of H (Curto &
+Fialkow 1991) of the standardized vector m_j / s^j, s = m4^(1/4), the
+moments of X / s; ``feasibility`` reports the decisive minor with its
+margin over the tolerance.  Only ``hankel`` imports numpy.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -80,12 +81,45 @@ def standardize(m1, m2, m3, m4):
     return s, (m1 * z, m2 * z * z, m3 * z * z * z, m4 * z * z * z * z)
 
 
+def principal_minors(m1, m2, m3, m4):
+    """The seven principal minors of H, in the order
+    1, m2, m4, m2 - m1^2, m4 - m2^2, m2 m4 - m3^2, det H; floats or arrays."""
+    return (1.0, m2, m4, m2 - m1 * m1, m4 - m2 * m2, m2 * m4 - m3 * m3, hankel_det(m1, m2, m3, m4))
+
+
+def psd_verdict(a1, a2, a3, a4, tol: float = DEFAULT_PSD_TOL):
+    """(psd, minors): H is PSD iff every principal minor is nonnegative.
+
+    Takes the standardized vector (see ``standardize``) and requires each
+    of its principal minors to be at least -tol.  m4 = 0 forces X = 0 up
+    to underflow (an atom at 1e-90 has m4 = 0 and m1 = 1e-90); there the
+    standardization leaves the vector unscaled and its minors are held to
+    the same -tol.  Floats or arrays of equal shape.
+    """
+    minors = principal_minors(a1, a2, a3, a4)
+    psd = minors[1] >= -tol
+    for d in minors[2:]:
+        psd = psd & (d >= -tol)
+    return psd, minors
+
+
+def psd_tol(m4: float) -> float:
+    """The PSD tolerance on the standardized minors, for ``MomentVector`` and
+    ``m3_interval``: DEFAULT_PSD_TOL, widened by m4's own rounding error
+    4 * 2^-1074 / m4 when m4 is subnormal (a point mass at 6.89e-81 has
+    m4 = 2.25e-321, good to ~3 digits, and minors near -5e-4)."""
+    if 0.0 < m4 < sys.float_info.min:
+        return DEFAULT_PSD_TOL + 4.0 * math.ulp(0.0) / m4
+    return DEFAULT_PSD_TOL
+
+
 @dataclass(frozen=True)
 class MomentVector:
     """Raw moments (m0, m1, m2, m3, m4) with m0 = 1.
 
     ``s`` and ``unit`` are the standardization ``standardize(m1, m2, m3, m4)``,
-    computed once here: every verdict on the vector is reached on ``unit``.
+    and ``psd`` and ``minors`` the verdict ``psd_verdict(*unit, psd_tol(m4))``
+    on it, all computed once here: every other layer reads them.
     """
 
     m0: float
@@ -95,10 +129,11 @@ class MomentVector:
     m4: float
     s: float = field(init=False, repr=False, compare=False)
     unit: tuple[float, float, float, float] = field(init=False, repr=False, compare=False)
+    psd: bool = field(init=False, repr=False, compare=False)
+    minors: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        values = (self.m0, self.m1, self.m2, self.m3, self.m4)
-        if not all(math.isfinite(v) for v in values):
+        if not all(math.isfinite(v) for v in (self.m0, self.m1, self.m2, self.m3, self.m4)):
             raise ValueError("non-finite moment")
         if abs(self.m0 - 1.0) > WEIGHT_SUM_TOL:
             raise InfeasibleMomentsError("m0 must be 1")
@@ -106,8 +141,9 @@ class MomentVector:
         if self.m2 < 0.0 or self.m4 < 0.0:
             raise InfeasibleMomentsError("even moments must be nonnegative")
         s, unit = standardize(self.m1, self.m2, self.m3, self.m4)
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "unit", unit)
+        psd, minors = psd_verdict(*unit, psd_tol(self.m4))
+        for name, value in (("s", s), ("unit", unit), ("psd", psd), ("minors", minors)):
+            object.__setattr__(self, name, value)
 
     def as_tuple(self) -> tuple[float, float, float, float, float]:
         return (self.m0, self.m1, self.m2, self.m3, self.m4)
@@ -159,12 +195,16 @@ def moments_from_discrete(dist: DiscreteDistribution) -> MomentVector:
     Atoms are already sorted ascending; each moment is a compensated
     (exactly rounded) sum, so the result is deterministic.  m0 is 1 by
     construction, honoring the convention 0^0 = 1 for an atom at zero.
+    m4 bounds every term |p x^j|, p <= 1, so it is summed first: when it
+    is beyond double range, OverflowError is raised before any other sum.
     """
     atoms = dist.atoms
+    m4 = math.fsum(p * x * x * x * x for x, p in atoms)
+    if m4 == math.inf:
+        raise OverflowError("the fourth moment is beyond double range")
     m1 = math.fsum(p * x for x, p in atoms)
     m2 = math.fsum(p * x * x for x, p in atoms)
     m3 = math.fsum(p * x * x * x for x, p in atoms)
-    m4 = math.fsum(p * x * x * x * x for x, p in atoms)
     return MomentVector(1.0, m1, m2, m3, m4)
 
 
@@ -201,24 +241,13 @@ class HankelMatrix:
     def __post_init__(self) -> None:
         self.entries.setflags(write=False)
 
-    @classmethod
-    def from_moments(cls, mv: MomentVector) -> "HankelMatrix":
-        import numpy as np
-
-        m = mv.as_tuple()
-        h = np.array(
-            [
-                [m[0], m[1], m[2]],
-                [m[1], m[2], m[3]],
-                [m[2], m[3], m[4]],
-            ]
-        )
-        return cls(h)
-
 
 def hankel(mv: MomentVector) -> HankelMatrix:
     """Hankel (moment) matrix of mv."""
-    return HankelMatrix.from_moments(mv)
+    import numpy as np
+
+    m = mv.as_tuple()
+    return HankelMatrix(np.array([[m[0], m[1], m[2]], [m[1], m[2], m[3]], [m[2], m[3], m[4]]]))
 
 
 def hankel_det(m1, m2, m3, m4):
@@ -235,28 +264,6 @@ def hankel_det_closed_form(mv: MomentVector) -> float:
     return hankel_det(mv.m1, mv.m2, mv.m3, mv.m4)
 
 
-def principal_minors(m1, m2, m3, m4):
-    """The seven principal minors of H, in the order
-    1, m2, m4, m2 - m1^2, m4 - m2^2, m2 m4 - m3^2, det H; floats or arrays."""
-    return (1.0, m2, m4, m2 - m1 * m1, m4 - m2 * m2, m2 * m4 - m3 * m3, hankel_det(m1, m2, m3, m4))
-
-
-def psd_verdict(a1, a2, a3, a4, tol: float = DEFAULT_PSD_TOL):
-    """(psd, minors): H is PSD iff every principal minor is nonnegative.
-
-    Takes the standardized vector (see ``standardize``) and requires each
-    of its principal minors to be at least -tol.  m4 = 0 forces X = 0 up
-    to underflow (an atom at 1e-90 has m4 = 0 and m1 = 1e-90); there the
-    standardization leaves the vector unscaled and its minors are held to
-    the same -tol.  Floats or arrays of equal shape.
-    """
-    minors = principal_minors(a1, a2, a3, a4)
-    psd = minors[1] >= -tol
-    for d in minors[2:]:
-        psd = psd & (d >= -tol)
-    return psd, minors
-
-
 @dataclass(frozen=True)
 class FeasibilityReport:
     """PSD verdict on the Hankel matrix of a moment vector, and how it was reached.
@@ -264,7 +271,7 @@ class FeasibilityReport:
     ``scale`` is the standardization scale s = m4^(1/4), ``minors`` the
     seven standardized principal minors (see ``principal_minors``; the
     last is the standardized det H), ``decisive_minor`` the smallest minor
-    and ``margin`` its excess over -DEFAULT_PSD_TOL: psd iff margin >= 0.
+    and ``margin`` its excess over -``psd_tol(m4)``: psd iff margin >= 0.
     PSD-ness is a necessary condition for a representing distribution to
     exist; sufficiency (rank conditions of the truncated moment problem)
     is not certified here.
@@ -280,13 +287,12 @@ class FeasibilityReport:
 def feasibility(mv: MomentVector) -> FeasibilityReport:
     """Check whether the Hankel matrix of ``mv`` is positive semidefinite.
 
-    The verdict is ``True`` iff every standardized principal minor is at
-    least -DEFAULT_PSD_TOL (see ``psd_verdict``).  Infeasibility is
-    reported, never raised.
+    Packages the verdict ``mv`` reached when it was built: ``True`` iff
+    every standardized principal minor is at least -``psd_tol(mv.m4)``.
+    Infeasibility is reported, never raised.
     """
-    psd, minors = psd_verdict(*mv.unit)
-    decisive = min(minors)
-    return FeasibilityReport(bool(psd), mv.s, minors, decisive, decisive + DEFAULT_PSD_TOL)
+    decisive = min(mv.minors)
+    return FeasibilityReport(mv.psd, mv.s, mv.minors, decisive, decisive + psd_tol(mv.m4))
 
 
 def scale_moments(mv: MomentVector, lam: float) -> MomentVector:

@@ -1,8 +1,10 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
+from momentbounds import moments
 from momentbounds import (
     QUARTER_CONSTANT,
     DiscreteDistribution,
@@ -13,11 +15,13 @@ from momentbounds import (
     bound_trivial,
     certificate_from_hankel,
     extremal_from_sigma,
+    feasibility,
     m3_interval,
     moments_from_discrete,
     scale_moments,
     two_point_zero_mean,
 )
+from momentbounds.moments import DEFAULT_PSD_TOL
 
 
 def tol_scale(mv):
@@ -129,6 +133,26 @@ class TestM3Interval:
             m3_interval(1.0, 0.5, 1.0)
         with pytest.raises(InfeasibleMomentsError, match="infeasible"):
             m3_interval(0.0, 2.0, 1.0)
+
+    def test_infeasible_exactly_when_the_psd_verdict_fails_the_variances(self):
+        # minors 3 and 4 of the moment vector are Var X and Var X^2 of X / s
+        rng = np.random.default_rng(21)
+        raised = 0
+        for _ in range(2000):
+            lam = 10.0 ** rng.uniform(-6.0, 6.0)
+            m1 = lam * rng.uniform(-1.0, 1.0)
+            m2 = (m1 * m1 + lam * lam * rng.choice([0.0, 1.0])) * (1.0 + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-12.0, -8.0))
+            m4 = m2 * m2 * (1.0 + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-12.0, -8.0))
+            minors = MomentVector(1.0, m1, m2, 0.0, m4).minors
+            infeasible = minors[3] < -DEFAULT_PSD_TOL or minors[4] < -DEFAULT_PSD_TOL
+            try:
+                m3_interval(m1, m2, m4)
+            except InfeasibleMomentsError:
+                assert infeasible
+                raised += 1
+            else:
+                assert not infeasible
+        assert 200 < raised < 1800
 
 
 class TestTwoPointZeroMean:
@@ -313,9 +337,31 @@ class TestScaleFreeVerdicts:
                 bound_sqrt(MomentVector(1, 1e-9 * lam, lam**2, 0, lam**4))
             bound_sqrt(MomentVector(1, 1e-14 * lam, lam**2, 0, lam**4))
 
+    @pytest.mark.parametrize("lam", [1e-78, 1e-79])
+    def test_laws_with_subnormal_m4_stay_tight_and_certified(self, lam):
+        for law, tight in ((two_point_zero_mean(lam, 2.0 * lam), bound_sqrt), (extremal_from_sigma(lam), bound_quarter)):
+            mv = moments_from_discrete(law)
+            assert 0.0 < mv.m4 < sys.float_info.min and mv.psd
+            assert tight(mv).tight
+            cert = certificate_from_hankel(mv)
+            assert cert.roots == pytest.approx([x for x, _ in law.atoms], rel=1e-9)
+
     def test_infeasible_interval_triple_at_any_scale(self):
         for lam in (1e-6, 1.0, 1e6):
             with pytest.raises(InfeasibleMomentsError):
                 m3_interval(0.0, 2.0 * lam**2, lam**4)
         with pytest.raises(InfeasibleMomentsError):
             m3_interval(0.0, 0.0, -1.0)
+
+
+def test_one_psd_decision_per_moment_vector(monkeypatch):
+    calls, principal_minors = [], moments.principal_minors
+
+    def counting(*args):
+        calls.append(args)
+        return principal_minors(*args)
+
+    monkeypatch.setattr(moments, "principal_minors", counting)
+    mv = MomentVector(1, 0, 2, 2, 6)
+    feasibility(mv), bound_sqrt(mv), bound_quarter(mv), certificate_from_hankel(mv)
+    assert len(calls) == 1

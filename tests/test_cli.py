@@ -200,6 +200,13 @@ class TestIntervalCommand:
         assert code == 3
         assert "infeasible" in err
 
+    def test_agrees_with_bound_on_feasibility(self, capsys):
+        # Var X^2 of X / s is -5e-9 here: below the PSD tolerance for both commands
+        code, report, err = run(capsys, "interval", "0", "1", "0.999999995")
+        assert (code, report) == (3, None) and "infeasible" in err
+        code, report, err = run(capsys, "bound", "--moments", "1", "0", "1", "0", "0.999999995")
+        assert (code, report) == (3, None) and "not a moment sequence" in err
+
 
 class TestExtremalCommand:
     def test_sigma_one(self, capsys):
@@ -222,6 +229,44 @@ class TestExtremalCommand:
         code, _, err = run(capsys, "extremal", "-1e-05")
         assert code == 2
         assert "sigma must be positive" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["extremal", "1e77"], ["extremal", "1e200"], ["moments", "--samples", "1e200", "1"]],
+    ids=["extremal-1e77", "extremal-1e200", "samples-1e200"],
+)
+def test_overflowing_law_exit_2(capsys, argv):
+    code, report, err = run(capsys, *argv)
+    assert (code, report) == (2, None)
+    assert err == "momentbounds: numbers too large for double precision: the fourth moment is beyond double range\n"
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["bound"], 2),
+        (["bound", "LAW", "--moments", "1", "0", "1", "0", "1"], 2),
+        (["bound", "LAW"], 0),
+        (["bound", "--moments", "1", "0", "1", "0", "1"], 0),
+        (["moments"], 2),
+        (["moments", "LAW", "--samples", "-1", "1"], 2),
+        (["moments", "LAW"], 0),
+        (["moments", "--samples", "-1", "1"], 0),
+    ],
+    ids=["bound-none", "bound-both", "bound-file", "bound-moments", "moments-none", "moments-both", "moments-file", "moments-samples"],
+)
+def test_exactly_one_input(tmp_path, capsys, argv, code):
+    law = write_atoms(tmp_path, [{"x": -1.0, "p": 0.5}, {"x": 1.0, "p": 0.5}])
+    argv = [law if a == "LAW" else a for a in argv]
+    if code == 0:
+        assert run(capsys, *argv)[0] == 0
+        return
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    want = "is required" if len(argv) == 1 else "not allowed with argument"
+    assert want in capsys.readouterr().err
 
 
 class TestVerifyCommand:
@@ -296,6 +341,19 @@ def test_bound_standardizes_twice(capsys, monkeypatch):
     code, report, _ = run(capsys, "bound", "--moments", "1", "0", "2", "2", "6")
     assert code == 0 and "certificate" in report
     assert len(calls) == 2
+
+
+def test_bound_decides_psd_once(capsys, monkeypatch):
+    calls, principal_minors = [], moments.principal_minors
+
+    def counting(*args):
+        calls.append(args)
+        return principal_minors(*args)
+
+    monkeypatch.setattr(moments, "principal_minors", counting)
+    code, report, _ = run(capsys, "bound", "--moments", "1", "0", "2", "2", "6")
+    assert code == 0 and "certificate" in report
+    assert len(calls) == 1
 
 
 def key_paths(node, prefix=""):

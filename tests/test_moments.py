@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from momentbounds import (
     quarter_bound,
     scale_moments,
 )
-from momentbounds.moments import root, standardize
+from momentbounds.moments import psd_tol, root, standardize
 
 
 def tol_scale(mv):
@@ -98,6 +99,18 @@ class TestMomentsFromDiscrete:
         assert mv.m2 == pytest.approx(2.0, rel=1e-15)
         assert mv.m3 == pytest.approx(2.0, rel=1e-15)
         assert mv.m4 == pytest.approx(6.0, rel=1e-15)
+
+    @pytest.mark.parametrize(
+        "pairs", [((1e200, 0.5), (1.0, 0.5)), ((-1e200, 0.5), (1e200, 0.5)), ((-1e80, 0.5), (1e80, 0.5))]
+    )
+    def test_overflow_raises_overflow_error(self, pairs):
+        # the middle law's m3 terms overflow to -inf and +inf, which fsum would reject with ValueError
+        with pytest.raises(OverflowError, match="beyond double range"):
+            moments_from_discrete(dist(*pairs))
+
+    def test_non_finite_moment_vector_is_a_value_error(self):
+        with pytest.raises(ValueError, match="non-finite moment"):
+            MomentVector(1.0, 0.0, 1.0, 0.0, math.inf)
 
 
 class TestMomentsFromSamples:
@@ -241,6 +254,27 @@ class TestFeasibility:
                 rep = feasibility(scale_moments(mv, float(lam)))
                 assert rep.psd == base.psd
                 assert rep.decisive_minor == pytest.approx(base.decisive_minor, abs=1e-13)
+
+    def test_verdict_is_reached_at_construction(self):
+        for mv in (MomentVector(1, 0, 1, 0, 2), MomentVector(1, 0, 1, 0, 0.5), MomentVector(1, 0, 0, 0, 0)):
+            assert (mv.psd, mv.minors) == psd_verdict(*mv.unit)
+            rep = feasibility(mv)
+            assert (rep.psd, rep.minors) == (mv.psd, mv.minors)
+
+    @pytest.mark.parametrize("x", [1e-80, 6.89e-81, 6.8903119051009e-81, 3e-81, -3e-81])
+    def test_point_mass_with_subnormal_m4_is_feasible(self, x):
+        # m4 = x^4 carries ~3 significant digits: the verdict may miss by its rounding error
+        mv = moments_from_discrete(dist((x, 1.0)))
+        assert 0.0 < mv.m4 < sys.float_info.min
+        rep = feasibility(mv)
+        assert rep.psd and rep.margin >= 0.0
+        assert psd_tol(mv.m4) == 1e-10 + 4.0 * 2.0**-1074 / mv.m4
+        assert rep.margin == rep.decisive_minor + psd_tol(mv.m4)
+
+    def test_subnormal_m4_forgives_only_its_rounding_error(self):
+        rep = feasibility(MomentVector(1, 0, 1e-5, 0, 1e-310))
+        assert not rep.psd and rep.margin < 0.0
+        assert psd_tol(sys.float_info.min) == psd_tol(1.0) == psd_tol(0.0) == 1e-10
 
     def test_underflowed_point_mass_is_feasible(self):
         # an atom at 1e-100 has m4 = 0: X = 0 up to underflow, nothing to standardize
