@@ -81,7 +81,7 @@ def parse_distribution_file(path: str) -> DiscreteDistribution:
         if not isinstance(atom, dict) or set(atom) != {"x", "p"}:
             raise ValueError(f'atom {i} must be an object with exactly the keys "x" and "p"')
         x, p = atom["x"], atom["p"]
-        if not isinstance(x, (int, float)) or not isinstance(p, (int, float)):
+        if type(x) not in (int, float) or type(p) not in (int, float):  # bool is an int subclass
             raise ValueError(f"atom {i}: x and p must be numbers")
         pairs.append((float(x), float(p)))
     return DiscreteDistribution.from_pairs(pairs)
@@ -239,16 +239,7 @@ def cmd_verify(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
             "constraint_residuals": list(oracle.constraint_residuals),
             "oracle_dual": list(oracle.dual),
             "lp_pivots": oracle.pivots,
-            "falsifier": {
-                "trials": falsifier.trials,
-                "eq_sqrt_violations": falsifier.eq_sqrt_violations,
-                "eq_quarter_violations": falsifier.eq_quarter_violations,
-                "interval_violations": falsifier.interval_violations,
-                "psd_violations": falsifier.psd_violations,
-                "worst_scaled_slack": falsifier.worst_scaled_slack,
-                "worst_trial": falsifier.worst_trial,
-                "violating_trials": list(falsifier.violating_trials),
-            },
+            "falsifier": asdict(falsifier),
         }
     )
     ok = falsifier.total_violations == 0 and abs(gap) <= args.gap_tol

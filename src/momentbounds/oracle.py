@@ -20,6 +20,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
+from . import _ORACLE_NAMES
 from .bounds import MomentInterval, interval_ends, quarter_bound, sqrt_bound
 from .moments import (
     CertificateError,
@@ -32,20 +33,7 @@ from .moments import (
     standardize,
 )
 
-__all__ = [
-    "CertificateError",
-    "OracleConfig",
-    "OracleResult",
-    "LPSolution",
-    "FalsifierReport",
-    "ReplayedTrial",
-    "lp_max",
-    "check_certificate",
-    "oracle_max_m3",
-    "oracle_extreme_m3_given",
-    "random_falsifier",
-    "replay_trial",
-]
+__all__ = list(_ORACLE_NAMES)
 
 #: Basic weights at or below this are round-off of a degenerate vertex.
 WEIGHT_CLAMP = 1e-12
@@ -72,6 +60,11 @@ MAX_PAIR_GRID_POINTS = 1_201
 FALSIFIER_CHUNK = 4096
 LISTED_VIOLATIONS = 10
 
+#: Most atoms in one falsifier trial, and the cut, in units of s^3, below
+#: which a missed bound or interval end counts as a violation.
+FALSIFIER_ATOMS = 8
+FALSIFIER_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class OracleConfig:
@@ -85,7 +78,6 @@ class OracleConfig:
     grid_hi: float = 3.0
     grid_step: float = 0.01
     m4_target: float = 1.0
-    m1_max: float = 0.0
     max_support: int = 3
 
     def __post_init__(self) -> None:
@@ -126,7 +118,7 @@ class OracleResult:
     those that straddle m4_target (see ``_max_m3_pairs``).  ``dual``
     is the certificate (y0, y1, y2), empty for ``max_support=2``:
     y0 + y1 x + y2 x^4 >= x^3 on the grid, y1 >= 0, and
-    y0 + y1 m1_max + y2 m4_target = max_m3.
+    y0 + y2 m4_target = max_m3.
     """
 
     max_m3: float
@@ -245,12 +237,12 @@ def _certified_max(A, b, c, infeasible: str) -> LPSolution:
 def _result(cfg: OracleConfig, xs, ps, m3: float, examined: int, **lp) -> OracleResult:
     argmax = DiscreteDistribution.from_pairs(zip(xs, ps))
     mv = moments_from_discrete(argmax)
-    residuals = (mv.m0 - 1.0, mv.m1 - cfg.m1_max, mv.m4 - cfg.m4_target)
+    residuals = (mv.m0 - 1.0, mv.m1, mv.m4 - cfg.m4_target)
     return OracleResult(m3, argmax, residuals, examined, **lp)
 
 
 def oracle_max_m3(cfg: OracleConfig) -> OracleResult:
-    """Maximize m3 over grid distributions with sum p = 1, m1 <= m1_max, m4 = m4_target.
+    """Maximize m3 over grid distributions with sum p = 1, m1 <= 0, m4 = m4_target.
 
     One certified LP: rows mass, mean (plus a slack column) and m4, a
     column per grid point.  ``max_support=2`` prices pairs instead.
@@ -259,7 +251,7 @@ def oracle_max_m3(cfg: OracleConfig) -> OracleResult:
     if cfg.max_support == 2:
         return _max_m3_pairs(cfg, g)
     A = np.hstack([np.vstack([np.ones_like(g), g, g**4]), [[0.0], [1.0], [0.0]]])
-    b = np.array([1.0, cfg.m1_max, cfg.m4_target])
+    b = np.array([1.0, 0.0, cfg.m4_target])
     c = np.r_[g**3, 0.0]
     sol = _certified_max(A, b, c, "infeasible configuration")
     support = np.flatnonzero(sol.x[:-1])
@@ -278,12 +270,11 @@ def _max_m3_pairs(cfg: OracleConfig, g: np.ndarray) -> OracleResult:
     (x^4 <= m4_target), and the middle against the right tail; points with
     x^4 = m4_target are in both, and the diagonal i = j is never admitted.
     Weights solve {mass, m4} (the mean then checked as an inequality) or
-    {mass, mean = m1_max} (the m4 residual then required to be exactly 0),
+    {mass, mean = 0} (the m4 residual then required to be exactly 0),
     so every admitted pair is a feasible point of the LP and the LP optimum
     dominates the result.  Ties go to the first family, then to the first
     pair in (i, j) order.
     """
-    t = cfg.m1_max
     target = cfg.m4_target
     q, c = g**4, g**3
     inside = np.flatnonzero(q <= target)
@@ -299,8 +290,8 @@ def _max_m3_pairs(cfg: OracleConfig, g: np.ndarray) -> OracleResult:
             continue
         priced += xi.size * xj.size
         p_m4 = (target - qj) / (qi - qj)
-        p_mean = (xj - t) / (xj - xi)
-        families = ((p_m4, p_m4 * xi + (1.0 - p_m4) * xj <= t), (p_mean, p_mean * qi + (1.0 - p_mean) * qj == target))
+        p_mean = xj / (xj - xi)
+        families = ((p_m4, p_m4 * xi + (1.0 - p_m4) * xj <= 0.0), (p_mean, p_mean * qi + (1.0 - p_mean) * qj == target))
         for family, (p, feasible) in enumerate(families):
             m3 = np.where((p >= 0.0) & (p <= 1.0) & feasible, p * ci + (1.0 - p) * cj, -np.inf)
             k, l = np.unravel_index(np.argmax(m3), m3.shape)
@@ -345,8 +336,6 @@ class FalsifierReport:
     """
 
     trials: int
-    seed: int
-    atom_budget: int
     eq_sqrt_violations: int
     eq_quarter_violations: int
     interval_violations: int
@@ -378,27 +367,28 @@ def _stream(seed: int, skip: int = 0) -> np.random.Generator:
     """The falsifier's uniforms for ``seed``, advanced past ``skip`` of them.
 
     Each uniform takes one 64-bit draw, so trial i starts at draw
-    i * (2 * atom_budget + 1) however the trials are chunked.
+    i * (2 * FALSIFIER_ATOMS + 1) however the trials are chunked.
     """
     bits = np.random.PCG64(seed)
     bits.advance(skip)
     return np.random.Generator(bits)
 
 
-def _trial_laws(u: np.ndarray, atom_budget: int) -> tuple[np.ndarray, np.ndarray]:
+def _trial_laws(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Atoms and weights of the trials in the rows of u, padded with zero weights.
 
-    Column 0 picks the atom count k in 2..atom_budget, column 1 a jitter in
-    [1e-9, 1e-6), the next atom_budget columns atoms uniform on [-5, 5),
-    the last atom_budget - 1 cut points whose spacings are Dirichlet(1)
+    With n = FALSIFIER_ATOMS, column 0 picks the atom count k in 2..n,
+    column 1 a jitter in [1e-9, 1e-6), the next n columns atoms uniform on
+    [-5, 5), the last n - 1 cut points whose spacings are Dirichlet(1)
     weights (unused cuts sit at 1).  Atoms are shifted left until the mean
     is just below zero: unlike rejection, this keeps draws close to the
     m1 = 0 boundary where the bounds are sharp.
     """
-    k = 2 + (u[:, 0] * (atom_budget - 1)).astype(np.int64)
+    n = FALSIFIER_ATOMS
+    k = 2 + (u[:, 0] * (n - 1)).astype(np.int64)
     jitter = 1e-9 + (1e-6 - 1e-9) * u[:, 1]
-    xs = -5.0 + 10.0 * u[:, 2 : 2 + atom_budget]
-    cuts = np.where(np.arange(atom_budget - 1) < (k - 1)[:, None], u[:, 2 + atom_budget :], 1.0)
+    xs = -5.0 + 10.0 * u[:, 2 : 2 + n]
+    cuts = np.where(np.arange(n - 1) < (k - 1)[:, None], u[:, 2 + n :], 1.0)
     cuts.sort(axis=1)
     ws = np.diff(cuts, axis=1, prepend=0.0, append=1.0)
     mean = _row_sums(ws * xs)
@@ -413,13 +403,13 @@ def _row_sums(a: np.ndarray) -> np.ndarray:
     return total
 
 
-def _evaluate(xs: np.ndarray, ws: np.ndarray, tol: float):
+def _evaluate(xs: np.ndarray, ws: np.ndarray):
     """Moments, scaled margins and violation flags (rows sqrt, quarter, interval, psd).
 
     The moments are standardized once, and the verdicts come from the
     formula helpers on the same standardized arguments the scalar API
     gives them, so the falsifier tests the shipped arithmetic.  Margins
-    and the cut ``tol`` are in units of s^3.
+    and the cut FALSIFIER_TOL are in units of s^3.
     """
     moments = [np.ones(len(xs))]
     terms = ws
@@ -432,32 +422,29 @@ def _evaluate(xs: np.ndarray, ws: np.ndarray, tol: float):
     slack_quarter = quarter_bound(a4) - a3
     lo, hi, _, _ = interval_ends(a1, a2, a4)
     margin = np.minimum.reduce([slack_sqrt, slack_quarter, a3 - lo, hi - a3])
+    tol = FALSIFIER_TOL
     outside = ~MomentInterval(lo, hi).contains(a3, tol)
     return moments, margin, np.stack([slack_sqrt < -tol, slack_quarter < -tol, outside, ~psd])
 
 
-def random_falsifier(
-    trials: int, seed: int, atom_budget: int = 8, tol: float = 1e-9
-) -> FalsifierReport:
+def random_falsifier(trials: int, seed: int) -> FalsifierReport:
     """Stress-test the bounds on random discrete distributions.
 
-    Each trial draws up to ``atom_budget`` atoms (see ``_trial_laws``).  A
+    Each trial draws up to FALSIFIER_ATOMS atoms (see ``_trial_laws``).  A
     bound or interval end is violated when it is missed by more than
-    ``tol`` s^3, s = m4^(1/4), the unit of ``BoundResult.scaled_slack``.
+    FALSIFIER_TOL s^3, s = m4^(1/4), the unit of ``BoundResult.scaled_slack``.
     Trials go in chunks of FALSIFIER_CHUNK; the result is the same for any
     chunk size and fully reproducible from ``seed``.
     """
     if trials <= 0:
         raise ValueError("trials must be positive")
-    if atom_budget < 2:
-        raise ValueError("atom_budget must be at least 2")
     rng = _stream(seed)
     counts = np.zeros(4, dtype=np.int64)
     worst, worst_trial = math.inf, 0
     listed: list[int] = []
     for start in range(0, trials, FALSIFIER_CHUNK):
-        u = rng.random((min(FALSIFIER_CHUNK, trials - start), 2 * atom_budget + 1))
-        _, margin, flags = _evaluate(*_trial_laws(u, atom_budget), tol)
+        u = rng.random((min(FALSIFIER_CHUNK, trials - start), 2 * FALSIFIER_ATOMS + 1))
+        _, margin, flags = _evaluate(*_trial_laws(u))
         counts += flags.sum(axis=1)
         k = int(np.argmin(margin))
         if margin[k] < worst:
@@ -465,19 +452,17 @@ def random_falsifier(
         bad = np.flatnonzero(flags.any(axis=0))[: LISTED_VIOLATIONS - len(listed)]
         listed.extend(int(start + i) for i in bad)
     sqrt_v, quarter_v, interval_v, psd_v = (int(v) for v in counts)
-    return FalsifierReport(
-        trials, seed, atom_budget, sqrt_v, quarter_v, interval_v, psd_v, worst, worst_trial, tuple(listed)
-    )
+    return FalsifierReport(trials, sqrt_v, quarter_v, interval_v, psd_v, worst, worst_trial, tuple(listed))
 
 
-def replay_trial(seed: int, index: int, atom_budget: int = 8) -> ReplayedTrial:
-    """Trial ``index`` of ``random_falsifier(..., seed, atom_budget)``, rebuilt
-    by the falsifier's own arithmetic: its moments and margin are the ones seen."""
+def replay_trial(seed: int, index: int) -> ReplayedTrial:
+    """Trial ``index`` of ``random_falsifier(..., seed)``, rebuilt by the
+    falsifier's own arithmetic: its moments and margin are the ones seen."""
     if index < 0:
         raise ValueError("index must be nonnegative")
-    width = 2 * atom_budget + 1
-    xs, ws = _trial_laws(_stream(seed, index * width).random((1, width)), atom_budget)
-    moments, margin, _ = _evaluate(xs, ws, 0.0)
+    width = 2 * FALSIFIER_ATOMS + 1
+    xs, ws = _trial_laws(_stream(seed, index * width).random((1, width)))
+    moments, margin, _ = _evaluate(xs, ws)
     law = DiscreteDistribution.from_pairs((x, w) for x, w in zip(xs[0], ws[0]) if w > 0.0)
     mv = MomentVector(*(float(m[0]) for m in moments))
     return ReplayedTrial(law, mv, float(margin[0]))

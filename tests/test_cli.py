@@ -92,6 +92,29 @@ class TestMomentsCommand:
         assert code == 2
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (None, "cannot read"),
+        ("{", "invalid JSON"),
+        ("[]", 'single key "atoms"'),
+        ('{"atoms": []}', '"atoms" must be a nonempty list'),
+        ('{"atoms": [{"x": "1", "p": 1}]}', "x and p must be numbers"),
+        ('{"atoms": [{"x": true, "p": true}]}', "x and p must be numbers"),
+        ('{"atoms": [{"x": NaN, "p": 1}]}', "non-finite"),
+    ],
+    ids=["missing", "invalid-json", "top-level-list", "empty-atoms", "string-x", "bool-x-p", "nan-x"],
+)
+def test_bad_distribution_file_exit_2(tmp_path, capsys, text, message):
+    path = tmp_path / "law.json"
+    if text is not None:
+        path.write_text(text)
+    for command in ("moments", "bound"):
+        code, report, err = run(capsys, command, str(path))
+        assert (code, report) == (2, None)
+        assert err.count("\n") == 1 and message in err and "Traceback" not in err
+
+
 class TestBoundCommand:
     def test_tight_two_point(self, capsys):
         code, report, _ = run(capsys, "bound", "--moments", "1", "0", "2", "2", "6")
@@ -199,6 +222,11 @@ class TestIntervalCommand:
         code, _, err = run(capsys, "interval", "1", "0.5", "1")
         assert code == 3
         assert "infeasible" in err
+
+    def test_nan_exit_2(self, capsys):
+        code, report, err = run(capsys, "interval", "nan", "1", "2")
+        assert (code, report) == (2, None)
+        assert err == "momentbounds: non-finite moment\n"
 
     def test_agrees_with_bound_on_feasibility(self, capsys):
         # Var X^2 of X / s is -5e-9 here: below the PSD tolerance for both commands

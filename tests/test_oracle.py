@@ -88,7 +88,7 @@ def certificate_parts(cfg):
     """The LP of oracle_max_m3 on cfg's grid, as the oracle builds it."""
     g = cfg.grid()
     A = np.hstack([np.vstack([np.ones_like(g), g, g**4]), [[0.0], [1.0], [0.0]]])
-    return A, np.array([1.0, cfg.m1_max, cfg.m4_target]), np.r_[g**3, 0.0]
+    return A, np.array([1.0, 0.0, cfg.m4_target]), np.r_[g**3, 0.0]
 
 
 class TestOracleConfig:
@@ -137,10 +137,11 @@ class TestOracleMaxM3:
         assert res.max_m3 == 0.0
         assert res.argmax.atoms == ((-1.0, 0.5), (1.0, 0.5))
 
-    def test_infeasible_mean_demand(self):
+    def test_infeasible_m4_demand(self):
+        # x^4 <= 16 on the grid
         with pytest.raises(InfeasibleMomentsError, match="infeasible configuration"):
             oracle_max_m3(
-                OracleConfig(grid_lo=-2.0, grid_hi=2.0, grid_step=0.5, m1_max=-10.0)
+                OracleConfig(grid_lo=-2.0, grid_hi=2.0, grid_step=0.5, m4_target=100.0)
             )
 
     def test_never_exceeds_quarter_bound(self):
@@ -173,18 +174,25 @@ class TestOracleMaxM3:
         g = cfg.grid()
         assert (y0 + y1 * g + y2 * g**4 >= g**3 - 1e-9).all()
         assert y1 >= 0.0
-        assert y0 + y1 * cfg.m1_max + y2 * cfg.m4_target == pytest.approx(res.max_m3, abs=1e-12)
+        assert y0 + y2 * cfg.m4_target == pytest.approx(res.max_m3, abs=1e-12)
         assert res.pivots > 0
         assert res.candidates_examined >= (g.size + 1) * res.pivots
 
     @pytest.mark.parametrize("m4_target, m1_max", [(1.0, 0.0), (2.5, 0.0), (1.0, -0.25), (0.5, 0.5)])
     def test_matches_exact_brute_force(self, m4_target, m1_max):
-        cfg = OracleConfig(grid_lo=-2.0, grid_hi=2.0, grid_step=0.25, m4_target=m4_target, m1_max=m1_max)
+        # the oracle's mean bound is 0; the LP kernel is also checked on nonzero mean rows
+        cfg = OracleConfig(grid_lo=-2.0, grid_hi=2.0, grid_step=0.25, m4_target=m4_target)
         columns = [(1, x, x**4) for x in QUARTER_GRID] + [(0, 1, 0)]
         costs = [x**3 for x in QUARTER_GRID] + [0]
         rhs = (1, Fraction(m1_max), Fraction(m4_target))
         exact = max(basic_feasible_values(columns, costs, rhs))
-        assert oracle_max_m3(cfg).max_m3 == pytest.approx(float(exact), abs=1e-12)
+        A, b, c = certificate_parts(cfg)
+        b[1] = m1_max
+        sol = lp_max(A, b, c)
+        check_certificate(A, b, c, sol.x, sol.y)
+        assert c @ sol.x == pytest.approx(float(exact), abs=1e-12)
+        if m1_max == 0.0:
+            assert oracle_max_m3(cfg).max_m3 == pytest.approx(float(exact), abs=1e-12)
 
     def test_matches_highs(self):
         linprog = pytest.importorskip("scipy.optimize").linprog
@@ -214,19 +222,19 @@ class TestOracleMaxM3:
         assert (lo, hi) == pytest.approx((lam**3 * unit[0], lam**3 * unit[1]), rel=1e-9)
 
     @pytest.mark.parametrize(
-        "lo, hi, step, m4, m1",
+        "lo, hi, step, m4",
         [
-            (-0.0012531248766735358, 0.0016831049842557769, 5.582002723685248e-06, 1.5117364538376941e-12, -0.00023582121524358564),
-            (-0.0009608648027122831, 0.0009973839377670148, 0.00028108680310746155, 1.1369859257706048e-12, -0.0003877336450632484),
-            (-0.003066227188996534, 0.003229170098895171, 4.821039976873388e-05, 5.533586076422926e-10, -0.0003210537863131161),
+            (-0.0012531248766735358, 0.0016831049842557769, 5.582002723685248e-06, 1.5117364538376941e-12),
+            (-0.0009608648027122831, 0.0009973839377670148, 0.00028108680310746155, 1.1369859257706048e-12),
+            (-0.003066227188996534, 0.003229170098895171, 4.821039976873388e-05, 5.533586076422926e-10),
         ],
     )
-    def test_tiny_scale_agrees_with_unit_scale(self, lo, hi, step, m4, m1):
+    def test_tiny_scale_agrees_with_unit_scale(self, lo, hi, step, m4):
         # rows of very different sizes (x^4 ~ 1e-12 against mass 1) need the LP's row scaling;
         # the last two grids cannot reach m4 and must be found infeasible at both scales
         s = m4**0.25
-        tiny = OracleConfig(grid_lo=lo, grid_hi=hi, grid_step=step, m4_target=m4, m1_max=m1)
-        unit = OracleConfig(grid_lo=lo / s, grid_hi=hi / s, grid_step=step / s, m4_target=1.0, m1_max=m1 / s)
+        tiny = OracleConfig(grid_lo=lo, grid_hi=hi, grid_step=step, m4_target=m4)
+        unit = OracleConfig(grid_lo=lo / s, grid_hi=hi / s, grid_step=step / s, m4_target=1.0)
         try:
             expected = oracle_max_m3(unit).max_m3 * s**3
         except InfeasibleMomentsError:
@@ -249,6 +257,11 @@ class TestOracleMaxM3:
         moved[np.flatnonzero(moved)[0]] += 1e-6
         with pytest.raises(CertificateError, match="primal"):
             check_certificate(A, b, c, moved, sol.y)
+
+    def test_unbounded_lp_raises(self):
+        # x0 = x1 >= 0 with objective x0 grows without bound
+        with pytest.raises(CertificateError, match="unbounded linear program"):
+            lp_max(np.array([[1.0, -1.0]]), np.array([0.0]), np.array([1.0, 0.0]))
 
     def test_oracle_refuses_uncertified_optimum(self, monkeypatch):
         solve = oracle.lp_max
@@ -289,9 +302,10 @@ class TestPairOracle:
     def cfg(**kwargs):
         return OracleConfig(**{"max_support": 2, **kwargs})
 
-    @pytest.mark.parametrize("m4_target, m1_max", [(1.0, 0.0), (2.5, 0.0), (1.0, -0.25), (0.5, 0.5)])
+    @pytest.mark.parametrize("m4_target, m1_max", [(1.0, 0.0), (2.5, 0.0)])
     def test_matches_exact_brute_force(self, m4_target, m1_max):
-        cfg = self.cfg(grid_lo=-2.0, grid_hi=2.0, grid_step=0.25, m4_target=m4_target, m1_max=m1_max)
+        # m1_max feeds only the exact reference: the oracle's mean bound is 0
+        cfg = self.cfg(grid_lo=-2.0, grid_hi=2.0, grid_step=0.25, m4_target=m4_target)
         exact = exact_pair_optimum(m4_target, m1_max)
         assert oracle_max_m3(cfg).max_m3 == pytest.approx(float(exact), abs=1e-12)
 
@@ -313,7 +327,6 @@ class TestPairOracle:
         [
             {"grid_lo": -0.5, "grid_hi": 0.5, "grid_step": 0.25},  # every x^4 below m4_target
             {"grid_lo": -3.0, "grid_hi": 3.0, "grid_step": 2.0, "m4_target": 0.5},  # every x^4 above it
-            {"grid_lo": -2.0, "grid_hi": 2.0, "grid_step": 0.5, "m1_max": -10.0},
         ],
     )
     def test_infeasible(self, kwargs):
@@ -375,6 +388,10 @@ class TestOracleExtremeGiven:
         assert hi == pytest.approx(2.0, abs=5e-3)
         assert lo == pytest.approx(-2.0, abs=5e-3)
 
+    def test_non_finite_moment_rejected(self):
+        with pytest.raises(ValueError, match="non-finite moment"):
+            oracle_extreme_m3_given(math.inf, 1.0, 2.0, COARSE)
+
     def test_infeasible_triple_propagates(self):
         with pytest.raises(InfeasibleMomentsError):
             oracle_extreme_m3_given(1.0, 0.5, 1.0, COARSE)
@@ -387,20 +404,20 @@ class TestOracleExtremeGiven:
 
 class TestRandomFalsifier:
     def test_no_violations(self):
-        rep = random_falsifier(trials=2000, seed=7, atom_budget=6)
+        rep = random_falsifier(trials=2000, seed=7)
         assert rep.total_violations == 0
         assert rep.worst_scaled_slack >= -1e-9
 
     def test_reproducible(self):
-        a = random_falsifier(trials=500, seed=123, atom_budget=5)
-        b = random_falsifier(trials=500, seed=123, atom_budget=5)
+        a = random_falsifier(trials=500, seed=123)
+        b = random_falsifier(trials=500, seed=123)
         assert a == b
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             random_falsifier(trials=0, seed=1)
         with pytest.raises(ValueError):
-            random_falsifier(trials=10, seed=1, atom_budget=1)
+            replay_trial(1, -1)
 
     def test_single_trial(self):
         rep = random_falsifier(1, 0)
@@ -409,14 +426,15 @@ class TestRandomFalsifier:
         assert rep.total_violations == 0
 
     def test_chunk_size_does_not_matter(self, monkeypatch):
-        whole = random_falsifier(trials=1000, seed=5, atom_budget=6)
+        whole = random_falsifier(trials=1000, seed=5)
         monkeypatch.setattr(oracle, "FALSIFIER_CHUNK", 7)
-        assert random_falsifier(trials=1000, seed=5, atom_budget=6) == whole
+        assert random_falsifier(trials=1000, seed=5) == whole
 
     def test_lists_violating_trials_across_chunks(self, monkeypatch):
         monkeypatch.setattr(oracle, "FALSIFIER_CHUNK", 3)
         # a cut of -1e3 flags every trial, since each scaled slack is below 2
-        rep = random_falsifier(trials=40, seed=2, tol=-1e3)
+        monkeypatch.setattr(oracle, "FALSIFIER_TOL", -1e3)
+        rep = random_falsifier(trials=40, seed=2)
         assert rep.eq_quarter_violations == 40
         assert rep.violating_trials == tuple(range(oracle.LISTED_VIOLATIONS))
 
