@@ -69,11 +69,6 @@ def mean_nonpositive(mv: MomentVector) -> bool:
     return mv.m1 <= M1_PRECONDITION_TOL * mv.s
 
 
-def _check_mean_nonpositive(mv: MomentVector) -> None:
-    if not mean_nonpositive(mv):
-        raise ValueError("precondition m1 <= 0 violated (use m3_interval)")
-
-
 @dataclass(frozen=True)
 class BoundResult:
     """A bound on m3 with its slack and, when tight, the attaining witness.
@@ -107,7 +102,7 @@ class Certificate:
 
     coeffs is a unit vector (a0, a1, a2) with a0 + a1 X + a2 X^2 = 0 almost
     surely; its real roots are the support points of the unique boundary
-    distribution, recovered with weights matching m0 and m1.
+    distribution, recovered with the weights that match m0 to m3.
     """
 
     coeffs: tuple[float, float, float]
@@ -155,15 +150,19 @@ def bound_trivial(mv: MomentVector) -> float:
 
 
 def _bound_result(mv: MomentVector, unit_bound: float, tol: float, witness) -> BoundResult:
-    """BoundResult from the bound of X / s; ``witness()`` builds the witness of X / s.
+    """BoundResult from the bound of X / s; ``witness()`` gives the atoms of the witness of X / s.
 
-    For s = 0 (m4 = 0) both bounds and the witness are 0.
+    Checks the preconditions of both sharp bounds: m1 <= 0 and H PSD.  For
+    s = 0 (m4 = 0) both bounds and the witness are 0.
     """
+    if not mean_nonpositive(mv):
+        raise ValueError("precondition m1 <= 0 violated (use m3_interval)")
+    _require_feasible(mv)
     s = mv.s
     scaled_slack = unit_bound - mv.unit[2]
     bound = unit_bound * s * s * s
     tight = abs(scaled_slack) <= tol
-    law = DiscreteDistribution(tuple((s * x, p) for x, p in witness().atoms)) if tight else None
+    law = DiscreteDistribution(tuple((s * x, p) for x, p in witness())) if tight else None
     return BoundResult(bound, bound - mv.m3, scaled_slack, tight, law)
 
 
@@ -171,22 +170,23 @@ def bound_sqrt(mv: MomentVector, tol: float = DEFAULT_TIGHT_TOL) -> BoundResult:
     """The bound m3 <= sqrt(m4 m2 - m2^3), valid when m1 <= 0.
 
     Tight exactly for the zero-mean two-point distributions; when tight,
-    the witness reconstructs (u, v) from m2 = uv and m3 = uv(v - u).
+    the witness is the zero-mean law on two points with the given m2 and m3.
     The verdict and the witness are computed for X / s, s = m4^(1/4).
     """
-    _check_mean_nonpositive(mv)
-    _require_feasible(mv)
     _, a2, a3, a4 = mv.unit
-    return _bound_result(mv, sqrt_bound(a2, a4)[0], tol, lambda: _sqrt_witness(a2, a3))
+    return _bound_result(mv, sqrt_bound(a2, a4)[0], tol, lambda: _two_point(0.0, a2, a3) if a2 > 0.0 else ((0.0, 1.0),))
 
 
-def _sqrt_witness(m2: float, m3: float) -> DiscreteDistribution:
-    # Solve t^2 - (m3/m2) t - m2 = 0 for v > 0, then u = m2 / v.
-    if m2 <= 0.0:
-        return DiscreteDistribution.point_mass(0.0)
-    r = m3 / m2
-    v = 0.5 * (r + math.sqrt(r * r + 4.0 * m2))
-    return two_point_zero_mean(m2 / v, v)
+def _two_point(mean: float, var: float, k3: float) -> tuple[tuple[float, float], tuple[float, float]]:
+    """(x, p) pairs of the law on mean - u, mean + v with variance var > 0 and third central moment k3.
+
+    -u and v are the roots of t^2 - (k3 / var) t - var; the one of larger magnitude
+    is taken without cancellation, the other from their product -var.
+    """
+    r = k3 / var
+    w = 0.5 * (abs(r) + math.sqrt(r * r + 4.0 * var))
+    u, v = (w, var / w) if r < 0.0 else (var / w, w)
+    return (mean - u, v / (u + v)), (mean + v, u / (u + v))
 
 
 def bound_quarter(mv: MomentVector, tol: float = DEFAULT_TIGHT_TOL) -> BoundResult:
@@ -198,14 +198,10 @@ def bound_quarter(mv: MomentVector, tol: float = DEFAULT_TIGHT_TOL) -> BoundResu
     which attains the bound.  The verdict and the witness are computed for
     X / s, s = m4^(1/4).
     """
-    _check_mean_nonpositive(mv)
-    _require_feasible(mv)
     a4 = mv.unit[3]
 
-    def witness() -> DiscreteDistribution:
-        if a4 > 0.0:
-            return extremal_from_sigma((a4 / 3.0) ** 0.25)
-        return DiscreteDistribution.point_mass(0.0)
+    def witness() -> tuple[tuple[float, float], ...]:
+        return extremal_from_sigma((a4 / 3.0) ** 0.25).atoms if a4 > 0.0 else ((0.0, 1.0),)
 
     return _bound_result(mv, quarter_bound(a4), tol, witness)
 
@@ -258,68 +254,30 @@ def certificate_from_hankel(
 ) -> Certificate:
     """Extract the boundary distribution from a singular Hankel matrix.
 
-    Requires the standardized det H to be 0 within tol (and H PSD): then
-    some a0 + a1 X + a2 X^2 vanishes almost surely, and the polynomial's
-    real roots carry all the mass.  The null vector is the largest cross
-    product of two rows of the standardized H; when every cross product is
-    within tol of 0, H has rank 1 and the law is the point mass at m1.
-    Weights are solved from m0 = 1 and m1.
+    Requires the standardized det H to be 0 within tol (and H PSD): then the
+    law sits on at most two points (the rank <= 2 case of Curto & Fialkow
+    1991), the roots of a0 + a1 X + a2 X^2.  When the three principal 2x2
+    minors of the standardized H are all within tol of 0, H has rank 1 and
+    the law is the point mass at m1.  Otherwise its variance must be
+    positive, and its mean, variance and third central moment fix its two
+    atoms and weights (``_two_point``).
     """
     _require_feasible(mv)
     if abs(mv.minors[-1]) > tol:
         raise InfeasibleMomentsError("interior point: no finite-support certificate of order <= 2")
-    a1, a2, a3, a4 = mv.unit
-    rows = ((1.0, a1, a2), (a1, a2, a3), (a2, a3, a4))
-    null = max((_cross(rows[i], rows[j]) for i, j in ((0, 1), (0, 2), (1, 2))), key=_norm)
-    size = _norm(null)
-    unit = mv.s if mv.s > 0.0 else 1.0
-    if size <= tol:
+    if all(abs(d) <= tol for d in mv.minors[3:6]):
         roots: tuple[float, ...] = (float(mv.m1),)
         coeffs = (-mv.m1, 1.0, 0.0)
+        atoms: tuple[tuple[float, float], ...] = ((roots[0], 1.0),)
+    elif mv.minors[3] <= 0.0:
+        raise InfeasibleMomentsError("singular Hankel matrix without a positive variance")
     else:
-        c0, c1, c2 = (c / size for c in null)
-        roots = tuple(unit * r for r in _polynomial_support(c0, c1, c2))
-        coeffs = (c0, c1 / unit, c2 / unit / unit)
-    norm = _norm(coeffs)
+        a1, a2, a3, _ = mv.unit
+        s = mv.s or 1.0  # s = 0 leaves the moments unscaled, as in ``standardize``
+        (lo, p), (hi, q) = _two_point(a1, mv.minors[3], a3 - 3.0 * a1 * a2 + 2.0 * a1 * a1 * a1)
+        roots = (s * lo, s * hi)
+        coeffs = (lo * hi, -(lo + hi) / s, 1.0 / s / s)
+        atoms = ((roots[0], p), (roots[1], q))
+    norm = math.hypot(*coeffs)
     sign = next((1.0 if c > 0.0 else -1.0 for c in coeffs if abs(c) > 1e-12 * norm), 1.0)
-    a0, a1, a2 = (sign * c / norm for c in coeffs)
-    return Certificate(coeffs=(a0, a1, a2), roots=roots, recovered=_recover_distribution(mv, roots))
-
-
-def _cross(p: tuple[float, float, float], q: tuple[float, float, float]) -> tuple[float, float, float]:
-    return (p[1] * q[2] - p[2] * q[1], p[2] * q[0] - p[0] * q[2], p[0] * q[1] - p[1] * q[0])
-
-
-def _norm(v: tuple[float, ...]) -> float:
-    return math.hypot(*v)
-
-
-def _polynomial_support(a0: float, a1: float, a2: float) -> tuple[float, ...]:
-    coeff_norm = max(abs(a0), abs(a1), abs(a2))
-    if abs(a2) > 1e-10 * coeff_norm:
-        disc = a1 * a1 - 4.0 * a2 * a0
-        disc_scale = max(1.0, a1 * a1 + 4.0 * abs(a2 * a0))
-        if disc < -1e-8 * disc_scale:
-            raise InfeasibleMomentsError("inconsistent null vector")
-        disc = max(0.0, disc)
-        sq = math.sqrt(disc)
-        r1 = (-a1 - sq) / (2.0 * a2)
-        r2 = (-a1 + sq) / (2.0 * a2)
-        lo, hi = min(r1, r2), max(r1, r2)
-        if hi - lo <= 1e-10 * max(1.0, abs(lo), abs(hi)):
-            return ((lo + hi) / 2.0,)
-        return (lo, hi)
-    if abs(a1) > 1e-10 * coeff_norm:
-        return (-a0 / a1,)
-    raise InfeasibleMomentsError("inconsistent null vector")
-
-
-def _recover_distribution(
-    mv: MomentVector, roots: tuple[float, ...]
-) -> DiscreteDistribution:
-    if len(roots) == 1:
-        return DiscreteDistribution.point_mass(roots[0])
-    x1, x2 = roots
-    p1 = (x2 - mv.m1) / (x2 - x1)
-    p1 = min(1.0, max(0.0, p1))
-    return DiscreteDistribution.from_pairs([(x1, p1), (x2, 1.0 - p1)])
+    return Certificate(tuple(sign * c / norm for c in coeffs), roots, DiscreteDistribution(atoms))

@@ -96,6 +96,9 @@ class OracleConfig:
                              f"for max_support={self.max_support}")
         # The same arithmetic as grid()[-1], without building the grid.
         top = self.grid_lo + self.grid_step * (self.size - 1)
+        big = max(-self.grid_lo, top)  # the largest |x| on the grid
+        if big * big * big * big == math.inf:
+            raise OverflowError("grid points whose fourth power is beyond double range")
         if not (self.grid_lo < 0.0 and top > 0.0):
             raise InfeasibleMomentsError(
                 "infeasible configuration: grid needs negative and positive points"

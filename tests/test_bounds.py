@@ -1,4 +1,5 @@
 import math
+import random
 import sys
 
 import numpy as np
@@ -275,6 +276,68 @@ class TestCertificate:
     def test_infeasible_rejected(self):
         with pytest.raises(InfeasibleMomentsError, match="not a moment vector"):
             certificate_from_hankel(MomentVector(1, 0, 1, 0, 0.5))
+
+
+def standardized_error(law, mv):
+    """max_j |m_j(law) - m_j| / s^j over j = 0..4, s = m4^(1/4)."""
+    got = moments_from_discrete(law).as_tuple()
+    return max(abs(a - b) / mv.s**j for j, (a, b) in enumerate(zip(got, mv.as_tuple())))
+
+
+def two_point_sweep(n, seed):
+    """Seeded two-point laws: either sign of mean, weights in [1e-3, 1 - 1e-3],
+    scales 10^U[-6, 6], and every fourth law with atoms 10^U[-9, -1] apart."""
+    rng = random.Random(seed)
+    for i in range(n):
+        x = rng.uniform(-1.0, 1.0)
+        y = x + 10.0 ** rng.uniform(-9.0, -1.0) if i % 4 == 0 else rng.uniform(-1.0, 1.0)
+        p = rng.uniform(1e-3, 1.0 - 1e-3)
+        lam = 10.0 ** rng.uniform(-6.0, 6.0)
+        yield DiscreteDistribution.from_pairs([(lam * x, p), (lam * y, 1.0 - p)])
+
+
+class TestTwoPointRecovery:
+    def test_certificate_reproduces_two_point_laws(self):
+        worst = 0.0
+        for law in two_point_sweep(4000, seed=9):
+            mv = moments_from_discrete(law)
+            worst = max(worst, standardized_error(certificate_from_hankel(mv).recovered, mv))
+        assert worst <= 1e-6
+
+    def test_tiny_mass_far_out(self):
+        # mass 1e-300 at -1, the rest at 0: Var X / s^2 = 1e-150 but Var X^2 / s^4 ~ 1
+        mv = moments_from_discrete(DiscreteDistribution.from_pairs([(-1.0, 1e-300), (0.0, 1.0)]))
+        assert mv.as_tuple() == (1.0, -1e-300, 1e-300, -1e-300, 1e-300)
+        cert = certificate_from_hankel(mv)
+        assert cert.roots == (-1.0, 0.0)
+        assert [p for _, p in cert.recovered.atoms] == pytest.approx([1e-300, 1.0], rel=1e-12, abs=0.0)
+        res = bound_sqrt(mv)
+        assert res.tight
+        assert [x for x, _ in res.witness.atoms] == pytest.approx([-1.0, 1e-300], rel=1e-12, abs=0.0)
+        assert standardized_error(res.witness, mv) <= 1e-12
+
+    @pytest.mark.parametrize("ratio", [1e-300, 1e-20, 1e-8, 1.0, 1e8, 1e20, 1e100])
+    def test_zero_mean_law_at_extreme_skew(self, ratio):
+        mv = moments_from_discrete(two_point_zero_mean(1.0, ratio))
+        assert standardized_error(certificate_from_hankel(mv).recovered, mv) <= 1e-12
+        res = bound_sqrt(mv)
+        assert res.tight or ratio < 1.0  # m3 = uv(v - u) attains the bound for v >= u
+        if res.tight:
+            assert standardized_error(res.witness, mv) <= 1e-12
+
+    def test_mirrored_law_gives_mirrored_atoms(self):
+        for law in two_point_sweep(200, seed=3):
+            mirror = DiscreteDistribution.from_pairs((-x, p) for x, p in law.atoms)
+            atoms = certificate_from_hankel(moments_from_discrete(law)).recovered.atoms
+            back = certificate_from_hankel(moments_from_discrete(mirror)).recovered.atoms
+            assert back == tuple((-x, p) for x, p in reversed(atoms))
+
+    def test_singular_without_positive_variance_rejected(self):
+        # PSD only within tolerance: Var X / s^2 = -1e-12, but Var X^2 / s^4 ~ 0.94
+        mv = MomentVector(1, 0.5, 0.25 - 1e-12, 0.125 - 1e-12, 1)
+        assert mv.psd and abs(mv.minors[-1]) <= 1e-8
+        with pytest.raises(InfeasibleMomentsError, match="positive variance"):
+            certificate_from_hankel(mv)
 
 
 class TestScaleCovariance:

@@ -184,6 +184,24 @@ class TestBoundCommand:
         assert sqrt["scaled_slack"] == pytest.approx(sqrt["slack"] / 2.0**0.75)
         assert sqrt["tight"] is False
 
+    @pytest.mark.parametrize(
+        "moments",
+        [
+            ["1", "-1e-300", "1e-300", "-1e-300", "1e-300"],
+            ["1.0", "-0.9999998849", "0.9999997738543327", "-0.9999996668639017", "0.9999995639296109"],
+        ],
+        ids=["tiny-mass-far-out", "near-coincident-atoms"],
+    )
+    def test_witness_and_certificate_reproduce_moments(self, capsys, moments):
+        code, report, err = run(capsys, "bound", "--moments", *moments)
+        assert code == 0, err
+        want = [float(m) for m in moments]
+        s = want[4] ** 0.25
+        laws = [res["witness"] for res in report["bounds"].values() if "witness" in res]
+        for atoms in laws + [report["certificate"]["recovered"]]:
+            got = [sum(a["p"] * a["x"] ** j for a in atoms) for j in range(5)]
+            assert all(abs(g - w) <= 1e-9 * s**j for j, (g, w) in enumerate(zip(got, want)))
+
     def test_report_round_trip(self, capsys):
         code, first, _ = run(capsys, "bound", "--moments", "1", "-0.25", "1.5", "0.3", "4.5")
         m = first["moments"]
@@ -313,6 +331,27 @@ class TestVerifyCommand:
         assert report["lp_pivots"] > 0
         y0, y1, y2 = report["oracle_dual"]
         assert y0 + y1 * 0.0 + y2 * 1.0 == pytest.approx(report["oracle_max_m3"], abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "argv, verified",
+        [
+            (["--m4", "1e-8", "--trials", "10"], False),
+            (["--grid-lo", "-3e3", "--grid-hi", "3e3", "--step", "10", "--m4", "1e12"], True),
+        ],
+        ids=["default-grid-too-coarse-for-m4", "default-problem-scaled-by-1e3"],
+    )
+    def test_gap_is_measured_in_units_of_s_cubed(self, capsys, argv, verified):
+        code, report, _ = run(capsys, "verify", *argv)
+        assert report["verified"] is verified
+        assert code == (0 if verified else 1)
+        scaled_gap = report["gap"] / report["input"]["m4"] ** 0.75
+        assert (scaled_gap <= report["gap_tolerance"]) is verified
+
+    def test_grid_with_overflowing_fourth_power_exit_2(self, capsys, monkeypatch):
+        monkeypatch.setattr(oracle.OracleConfig, "grid", None)  # no grid may be built
+        code, report, err = run(capsys, "verify", "--grid-lo", "-2e77", "--grid-hi", "2e77", "--step", "1e75")
+        assert code == 2 and report is None
+        assert "fourth power is beyond double range" in err
 
     def test_oversized_grid_exit_2(self, capsys):
         code, report, err = run(capsys, "verify", "--step", "1e-9")

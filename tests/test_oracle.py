@@ -126,6 +126,12 @@ class TestOracleConfig:
         with pytest.raises(ValueError, match="exceeds the cap"):
             OracleConfig(**kwargs)
 
+    def test_grid_with_overflowing_fourth_power_rejected(self):
+        assert OracleConfig(grid_lo=-1e77, grid_hi=1e77, grid_step=1e75).size == 201
+        for lo, hi in ((-2e77, 1.0), (-1.0, 2e77)):
+            with pytest.raises(OverflowError, match="fourth power"):
+                OracleConfig(grid_lo=lo, grid_hi=hi, grid_step=1e75)
+
     def test_caps_are_per_path(self):
         assert OracleConfig(grid_step=0.001).size == 6001
         assert OracleConfig(grid_step=0.005, max_support=2).size == 1201
