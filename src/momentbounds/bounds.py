@@ -152,8 +152,11 @@ def bound_trivial(mv: MomentVector) -> float:
 def _bound_result(mv: MomentVector, unit_bound: float, tol: float, witness) -> BoundResult:
     """BoundResult from the bound of X / s; ``witness()`` gives the atoms of the witness of X / s.
 
-    Checks the preconditions of both sharp bounds: m1 <= 0 and H PSD.  For
-    s = 0 (m4 = 0) both bounds and the witness are 0.
+    Tight when the standardized slack is within tol and the witness is
+    finite and reproduces the standardized m2, m3 and m4 within tol: a
+    small slack alone does not make a law attain the bound.  Checks the
+    preconditions of both sharp bounds: m1 <= 0 and H PSD.  For s = 0
+    (m4 = 0) both bounds and the witness are 0.
     """
     if not mean_nonpositive(mv):
         raise ValueError("precondition m1 <= 0 violated (use m3_interval)")
@@ -161,9 +164,23 @@ def _bound_result(mv: MomentVector, unit_bound: float, tol: float, witness) -> B
     s = mv.s
     scaled_slack = unit_bound - mv.unit[2]
     bound = unit_bound * s * s * s
-    tight = abs(scaled_slack) <= tol
-    law = DiscreteDistribution(tuple((s * x, p) for x, p in witness())) if tight else None
+    atoms = witness() if abs(scaled_slack) <= tol else ()
+    tight = bool(atoms) and _reproduces(atoms, mv.unit, tol)
+    law = DiscreteDistribution(tuple((s * x, p) for x, p in atoms)) if tight else None
     return BoundResult(bound, bound - mv.m3, scaled_slack, tight, law)
+
+
+def _reproduces(atoms, unit, tol: float) -> bool:
+    """The atoms (x, p) have the m2, m3 and m4 of unit within tol; non-finite
+    atoms never do (their sums are inf or nan)."""
+    m2 = m3 = m4 = 0.0
+    for x, p in atoms:
+        t = p * x * x
+        m2 += t
+        m3 += t * x
+        m4 += t * x * x
+    _, a2, a3, a4 = unit
+    return abs(m2 - a2) <= tol and abs(m3 - a3) <= tol and abs(m4 - a4) <= tol
 
 
 def bound_sqrt(mv: MomentVector, tol: float = DEFAULT_TIGHT_TOL) -> BoundResult:
@@ -260,7 +277,8 @@ def certificate_from_hankel(
     minors of the standardized H are all within tol of 0, H has rank 1 and
     the law is the point mass at m1.  Otherwise its variance must be
     positive, and its mean, variance and third central moment fix its two
-    atoms and weights (``_two_point``).
+    atoms and weights (``_two_point``), which must reproduce the
+    standardized m2, m3 and m4 within tol.
     """
     _require_feasible(mv)
     if abs(mv.minors[-1]) > tol:
@@ -274,7 +292,9 @@ def certificate_from_hankel(
     else:
         a1, a2, a3, _ = mv.unit
         s = mv.s or 1.0  # s = 0 leaves the moments unscaled, as in ``standardize``
-        (lo, p), (hi, q) = _two_point(a1, mv.minors[3], a3 - 3.0 * a1 * a2 + 2.0 * a1 * a1 * a1)
+        (lo, p), (hi, q) = unit_atoms = _two_point(a1, mv.minors[3], a3 - 3.0 * a1 * a2 + 2.0 * a1 * a1 * a1)
+        if not _reproduces(unit_atoms, mv.unit, tol):
+            raise InfeasibleMomentsError("singular Hankel matrix, but no law on two points has these moments")
         roots = (s * lo, s * hi)
         coeffs = (lo * hi, -(lo + hi) / s, 1.0 / s / s)
         atoms = ((roots[0], p), (roots[1], q))

@@ -14,6 +14,8 @@ Exit codes:
     3  mathematical infeasibility (not a moment sequence / infeasible
        configuration)
     4  internal error: an unexpected exception, reported in one line
+    5  stdout was closed before the report was written (as in
+       ``momentbounds bound ... | head -3``)
 
 Only ``verify`` imports the oracle, and with it numpy.
 """
@@ -23,6 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
 from dataclasses import asdict
@@ -55,6 +58,7 @@ EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_INFEASIBLE = 3
 EXIT_INTERNAL = 4
+EXIT_CLOSED_STDOUT = 5
 
 #: Acceptable gap between the oracle maximum and the sharp bound in `verify`,
 #: in units of s^3 = m4^(3/4), so that the verdict does not depend on scale.
@@ -336,7 +340,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     except Exception as exc:  # a fault of the program, not of the input
         print(f"momentbounds: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    print(text)
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # the flush at exit would fail again: let it write to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED_STDOUT
     return code
 
 

@@ -27,7 +27,6 @@ from .moments import (
     DiscreteDistribution,
     InfeasibleMomentsError,
     MomentVector,
-    floor_at,
     moments_from_discrete,
     psd_verdict,
     standardize,
@@ -55,8 +54,12 @@ STALLS_PER_ROW = 4
 MAX_GRID_POINTS = 1_000_001
 MAX_PAIR_GRID_POINTS = 1_201
 
-#: Trials the falsifier draws and evaluates together (bounds its memory),
-#: and violating trials a FalsifierReport lists by index.
+#: Trials the falsifier draws and evaluates together, and violating trials
+#: a FalsifierReport lists by index.  One workspace of min(FALSIFIER_CHUNK,
+#: trials) trials (~1.5 MB at 4096) serves every chunk of a call; it is
+#: atom-major, one row per uniform, weight or power sum, so each step is a
+#: ufunc on contiguous rows.  Smaller chunks pay more per-call overhead:
+#: 1024 took ~1.8x as long as 4096 for 3e4 trials (2-CPU x86-64, numpy 2.4).
 FALSIFIER_CHUNK = 4096
 LISTED_VIOLATIONS = 10
 
@@ -183,6 +186,48 @@ def _simplex(A, b, c, basis, n):
             raise CertificateError("simplex iteration limit reached")
 
 
+class _Start(NamedTuple):
+    """A scaled LP with the feasible basis phase 1 found for it."""
+
+    A: np.ndarray  # rows scaled, artificial columns appended
+    b: np.ndarray
+    rows: np.ndarray  # the row scales
+    basis: list
+    pivots: int
+    priced: int
+
+
+def _phase1(A: np.ndarray, b: np.ndarray) -> Optional[_Start]:
+    """Scale the rows of A x = b to unit magnitude (b nonnegative) and find a
+    feasible basis by minimizing the sum of artificial columns; None if
+    infeasible.  Depends on (A, b) only, so one start serves any objective."""
+    m, n = A.shape
+    row_max = np.abs(A).max(axis=1)
+    rows = np.where(b < 0.0, -1.0, 1.0) / np.where(row_max > 0.0, row_max, 1.0)
+    A1 = np.hstack([A * rows[:, None], np.eye(m)])
+    b1 = b * rows
+    basis = list(range(n, n + m))
+    inv, pivots, priced = _simplex(A1, b1, np.r_[np.zeros(n), -np.ones(m)], basis, n)
+    if sum(v for v, j in zip(inv @ b1, basis) if j >= n) > CERTIFICATE_TOL * max(1.0, np.abs(b1).max()):
+        return None
+    return _Start(A1, b1, rows, basis, pivots, priced)
+
+
+def _phase2(start: _Start, c: np.ndarray) -> LPSolution:
+    """Maximize c @ x from the phase-1 basis of ``start`` (left unchanged);
+    the objective is scaled to unit magnitude first."""
+    A1, b1, rows, basis = start.A, start.b, start.rows, list(start.basis)
+    n = len(c)
+    size_c = max(np.abs(c).max(), np.finfo(float).tiny)
+    c1 = np.r_[c / size_c, np.zeros(len(b1))]
+    inv, pivots, priced = _simplex(A1, b1, c1, basis, n)
+    x = np.zeros(len(c1))
+    x[basis] = inv @ b1
+    x = np.where(x[:n] > WEIGHT_CLAMP, x[:n], 0.0)
+    y = (c1[basis] @ inv) * rows * size_c
+    return LPSolution(x, y, start.pivots + pivots, start.priced + priced)
+
+
 def lp_max(A: np.ndarray, b: np.ndarray, c: np.ndarray) -> Optional[LPSolution]:
     """Maximize c @ x subject to A @ x = b, x >= 0; None if infeasible.
 
@@ -192,23 +237,8 @@ def lp_max(A: np.ndarray, b: np.ndarray, c: np.ndarray) -> Optional[LPSolution]:
     objective are scaled to unit magnitude first (and b made nonnegative),
     so the tolerances are relative.  Deterministic.
     """
-    m, n = A.shape
-    row_max = np.abs(A).max(axis=1)
-    rows = np.where(b < 0.0, -1.0, 1.0) / np.where(row_max > 0.0, row_max, 1.0)
-    size_c = max(np.abs(c).max(), np.finfo(float).tiny)
-    A1 = np.hstack([A * rows[:, None], np.eye(m)])
-    b1 = b * rows
-    basis = list(range(n, n + m))
-    inv, pivots, priced = _simplex(A1, b1, np.r_[np.zeros(n), -np.ones(m)], basis, n)
-    if sum(v for v, j in zip(inv @ b1, basis) if j >= n) > CERTIFICATE_TOL * max(1.0, np.abs(b1).max()):
-        return None
-    c1 = np.r_[c / size_c, np.zeros(m)]
-    inv, more_pivots, more_priced = _simplex(A1, b1, c1, basis, n)
-    x = np.zeros(n + m)
-    x[basis] = inv @ b1
-    x = np.where(x[:n] > WEIGHT_CLAMP, x[:n], 0.0)
-    y = (c1[basis] @ inv) * rows * size_c
-    return LPSolution(x, y, pivots + more_pivots, priced + more_priced)
+    start = _phase1(A, b)
+    return None if start is None else _phase2(start, c)
 
 
 def check_certificate(A, b, c, x, y) -> None:
@@ -229,12 +259,10 @@ def check_certificate(A, b, c, x, y) -> None:
         raise CertificateError(f"LP certificate failed: {', '.join(failed)} check")
 
 
-def _certified_max(A, b, c, infeasible: str) -> LPSolution:
-    sol = lp_max(A, b, c)
-    if sol is None:
-        raise InfeasibleMomentsError(infeasible)
-    check_certificate(A, b, c, sol.x, sol.y)
-    return sol
+def _scale(cfg: OracleConfig) -> float:
+    """s = m4_target^(1/4): the LP oracles solve for X / s, so their rows and
+    tolerances are of unit magnitude at any scale; s = 1 leaves them as given."""
+    return math.sqrt(math.sqrt(cfg.m4_target))
 
 
 def _result(cfg: OracleConfig, xs, ps, m3: float, examined: int, **lp) -> OracleResult:
@@ -248,18 +276,26 @@ def oracle_max_m3(cfg: OracleConfig) -> OracleResult:
     """Maximize m3 over grid distributions with sum p = 1, m1 <= 0, m4 = m4_target.
 
     One certified LP: rows mass, mean (plus a slack column) and m4, a
-    column per grid point.  ``max_support=2`` prices pairs instead.
+    column per grid point.  It is solved for X / s (see ``_scale``), and
+    m3 and the dual are scaled back.  ``max_support=2`` prices pairs
+    instead.
     """
     g = cfg.grid()
     if cfg.max_support == 2:
         return _max_m3_pairs(cfg, g)
-    A = np.hstack([np.vstack([np.ones_like(g), g, g**4]), [[0.0], [1.0], [0.0]]])
-    b = np.array([1.0, 0.0, cfg.m4_target])
-    c = np.r_[g**3, 0.0]
-    sol = _certified_max(A, b, c, "infeasible configuration")
+    s = _scale(cfg)
+    z = g / s
+    A = np.hstack([np.vstack([np.ones_like(z), z, z**4]), [[0.0], [1.0], [0.0]]])
+    b = np.array([1.0, 0.0, cfg.m4_target / s / s / s / s])
+    c = np.r_[z**3, 0.0]
+    sol = lp_max(A, b, c)
+    if sol is None:
+        raise InfeasibleMomentsError("infeasible configuration")
+    check_certificate(A, b, c, sol.x, sol.y)
     support = np.flatnonzero(sol.x[:-1])
-    m3 = math.fsum(c[support] * sol.x[support])
-    dual = tuple(float(v) for v in sol.y)
+    m3 = math.fsum(c[support] * sol.x[support]) * (s * s * s)
+    y0, y1, y2 = (float(v) for v in sol.y)
+    dual = (y0 * (s * s * s), y1 * (s * s), y2 / s)
     return _result(cfg, g[support], sol.x[support], m3, sol.priced, dual=dual, pivots=sol.pivots)
 
 
@@ -311,20 +347,26 @@ def oracle_extreme_m3_given(
 ) -> tuple[float, float]:
     """Min and max of m3 over grid distributions matching (m1, m2, m4) exactly.
 
-    Two certified LPs (max m3, max -m3) with rows mass, m1, m2 and m4; the
-    range lies inside ``m3_interval`` and fills it as the grid is refined.
+    Two certified LPs (max m3, max -m3) with rows mass, m1, m2 and m4,
+    solved for X / s (see ``_scale``) from one phase-1 basis; the range
+    lies inside ``m3_interval`` and fills it as the grid is refined.
     """
     if not all(math.isfinite(v) for v in (m1, m2, m4)):
         raise ValueError("non-finite moment")
-    g = cfg.grid()
-    A = np.vstack([np.ones_like(g), g, g**2, g**4])
-    b = np.array([1.0, m1, m2, m4])
-    c = g**3
+    s = _scale(cfg)
+    z = cfg.grid() / s
+    A = np.vstack([np.ones_like(z), z, z**2, z**4])
+    b = np.array([1.0, m1 / s, m2 / s / s, m4 / s / s / s / s])
+    c = z**3
+    start = _phase1(A, b)
+    if start is None:
+        raise InfeasibleMomentsError("grid cannot represent the moment triple")
     ends = []
     for sign in (-1.0, 1.0):
-        sol = _certified_max(A, b, sign * c, "grid cannot represent the moment triple")
+        sol = _phase2(start, sign * c)
+        check_certificate(A, b, sign * c, sol.x, sol.y)
         support = np.flatnonzero(sol.x)
-        ends.append(math.fsum(c[support] * sol.x[support]))
+        ends.append(math.fsum(c[support] * sol.x[support]) * (s * s * s))
     return ends[0], ends[1]
 
 
@@ -377,49 +419,86 @@ def _stream(seed: int, skip: int = 0) -> np.random.Generator:
     return np.random.Generator(bits)
 
 
-def _trial_laws(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Atoms and weights of the trials in the rows of u, padded with zero weights.
+#: Compare-exchanges that sort 7 rows (a 16-comparator network): the
+#: FALSIFIER_ATOMS - 1 cut points, elementwise along each row.
+_SORT_7 = ((0, 6), (2, 3), (4, 5), (0, 2), (1, 4), (3, 6), (0, 1), (2, 5),
+           (3, 4), (1, 2), (4, 6), (2, 3), (4, 5), (1, 2), (3, 4), (5, 6))
 
-    With n = FALSIFIER_ATOMS, column 0 picks the atom count k in 2..n,
-    column 1 a jitter in [1e-9, 1e-6), the next n columns atoms uniform on
-    [-5, 5), the last n - 1 cut points whose spacings are Dirichlet(1)
-    weights (unused cuts sit at 1).  Atoms are shifted left until the mean
-    is just below zero: unlike rejection, this keeps draws close to the
-    m1 = 0 boundary where the bounds are sharp.
+
+def _workspace(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Buffers for ``size`` trials, reused by every chunk of a call: the
+    draws trial by trial, as the stream yields them, and atom-major rows,
+    one column per trial: the 2n + 1 uniforms, n weights, 4 power sums and
+    2 scratch rows (n = FALSIFIER_ATOMS)."""
+    n = FALSIFIER_ATOMS
+    return np.empty((size, 2 * n + 1)), np.empty((3 * n + 7, size))
+
+
+def _trial_laws(u: np.ndarray, ws: np.ndarray, spare: np.ndarray) -> np.ndarray:
+    """Atoms (returned, in u's rows) and weights (into ws) of the trials in
+    the columns of u; unused atoms get zero weight.
+
+    u is atom-major, one row per uniform, n = FALSIFIER_ATOMS: row 0 picks
+    the atom count k in 2..n, row 1 a jitter in [1e-9, 1e-6), the next n
+    rows atoms uniform on [-5, 5), the last n - 1 cut points whose spacings
+    are Dirichlet(1) weights (unused cuts sit at 1).  Atoms are shifted
+    left until the mean is just below zero: unlike rejection, this keeps
+    draws close to the m1 = 0 boundary where the bounds are sharp.  Works
+    in place: u and spare are overwritten.
     """
     n = FALSIFIER_ATOMS
-    k = 2 + (u[:, 0] * (n - 1)).astype(np.int64)
-    jitter = 1e-9 + (1e-6 - 1e-9) * u[:, 1]
-    xs = -5.0 + 10.0 * u[:, 2 : 2 + n]
-    cuts = np.where(np.arange(n - 1) < (k - 1)[:, None], u[:, 2 + n :], 1.0)
-    cuts.sort(axis=1)
-    ws = np.diff(cuts, axis=1, prepend=0.0, append=1.0)
-    mean = _row_sums(ws * xs)
-    return xs - (floor_at(mean, 0.0) + jitter)[:, None], ws
+    xs, cuts = u[2 : 2 + n], list(u[2 + n :])
+    t, tmp = spare
+    np.multiply(u[0], n - 1, out=t)  # k = 2 + floor(t): cut j is used iff j <= t
+    for j in range(1, n - 1):
+        np.maximum(cuts[j], np.less(t, j, out=tmp), out=cuts[j])  # 1 where unused
+    for i, j in _SORT_7:  # exact, so any sorting order gives the same values
+        np.minimum(cuts[i], cuts[j], out=tmp)
+        np.maximum(cuts[i], cuts[j], out=cuts[j])
+        cuts[i], tmp = tmp, cuts[i]
+    ws[0] = cuts[0]
+    for j in range(1, n - 1):
+        np.subtract(cuts[j], cuts[j - 1], out=ws[j])
+    np.subtract(1.0, cuts[-1], out=ws[-1])
+    np.multiply(xs, 10.0, out=xs)
+    xs += -5.0
+    mean = t
+    np.multiply(ws[0], xs[0], out=mean)
+    for j in range(1, n):  # added in a fixed order, so bit-reproducible
+        mean += np.multiply(ws[j], xs[j], out=tmp)
+    jitter = u[1]
+    np.multiply(jitter, 1e-6 - 1e-9, out=jitter)
+    jitter += 1e-9
+    np.maximum(mean, 0.0, out=mean)
+    mean += jitter
+    xs -= mean
+    return xs
 
 
-def _row_sums(a: np.ndarray) -> np.ndarray:
-    """Row sums added column by column, in a fixed order (bit-reproducible)."""
-    total = a[:, 0].copy()
-    for j in range(1, a.shape[1]):
-        total += a[:, j]
-    return total
+def _power_sums(xs: np.ndarray, ws: np.ndarray, sums: np.ndarray, term: np.ndarray) -> np.ndarray:
+    """sums[p - 1] = sum_j ws[j] xs[j]^p for p = 1..4, added atom by atom in
+    a fixed order, so a trial's sums do not depend on its chunk."""
+    np.multiply(ws[0], xs[0], out=sums[0])
+    for p in range(1, 4):
+        np.multiply(sums[p - 1], xs[0], out=sums[p])
+    for x, w in zip(xs[1:], ws[1:]):
+        np.multiply(w, x, out=term)
+        sums[0] += term
+        for total in sums[1:]:
+            term *= x
+            total += term
+    return sums
 
 
-def _evaluate(xs: np.ndarray, ws: np.ndarray):
-    """Moments, scaled margins and violation flags (rows sqrt, quarter, interval, psd).
+def _evaluate(m1, m2, m3, m4):
+    """Scaled margins and violation flags (rows sqrt, quarter, interval, psd).
 
     The moments are standardized once, and the verdicts come from the
     formula helpers on the same standardized arguments the scalar API
     gives them, so the falsifier tests the shipped arithmetic.  Margins
     and the cut FALSIFIER_TOL are in units of s^3.
     """
-    moments = [np.ones(len(xs))]
-    terms = ws
-    for _ in range(4):
-        terms = terms * xs
-        moments.append(_row_sums(terms))
-    _, (a1, a2, a3, a4) = standardize(*moments[1:])
+    _, (a1, a2, a3, a4) = standardize(m1, m2, m3, m4)
     psd = psd_verdict(a1, a2, a3, a4)[0]
     slack_sqrt = sqrt_bound(a2, a4)[0] - a3
     slack_quarter = quarter_bound(a4) - a3
@@ -427,7 +506,20 @@ def _evaluate(xs: np.ndarray, ws: np.ndarray):
     margin = np.minimum.reduce([slack_sqrt, slack_quarter, a3 - lo, hi - a3])
     tol = FALSIFIER_TOL
     outside = ~MomentInterval(lo, hi).contains(a3, tol)
-    return moments, margin, np.stack([slack_sqrt < -tol, slack_quarter < -tol, outside, ~psd])
+    return margin, np.stack([slack_sqrt < -tol, slack_quarter < -tol, outside, ~psd])
+
+
+def _chunk(rng: np.random.Generator, work: tuple[np.ndarray, np.ndarray], size: int):
+    """Draw the next ``size`` trials into ``work`` and evaluate them:
+    (atoms, weights, power sums, margins, flags), atom-major views of work."""
+    n = FALSIFIER_ATOMS
+    draws, rows = work[0][:size], work[1][:, :size]
+    rng.random(out=draws)
+    u, ws, sums, spare = np.split(rows, [2 * n + 1, 3 * n + 1, 3 * n + 5])
+    np.copyto(u, draws.T)
+    xs = _trial_laws(u, ws, spare)
+    _power_sums(xs, ws, sums, spare[0])
+    return (xs, ws, sums, *_evaluate(*sums))
 
 
 def random_falsifier(trials: int, seed: int) -> FalsifierReport:
@@ -436,18 +528,18 @@ def random_falsifier(trials: int, seed: int) -> FalsifierReport:
     Each trial draws up to FALSIFIER_ATOMS atoms (see ``_trial_laws``).  A
     bound or interval end is violated when it is missed by more than
     FALSIFIER_TOL s^3, s = m4^(1/4), the unit of ``BoundResult.scaled_slack``.
-    Trials go in chunks of FALSIFIER_CHUNK; the result is the same for any
-    chunk size and fully reproducible from ``seed``.
+    Trials go in chunks of FALSIFIER_CHUNK through one workspace; the
+    result is the same for any chunk size and fully reproducible from ``seed``.
     """
     if trials <= 0:
         raise ValueError("trials must be positive")
     rng = _stream(seed)
+    work = _workspace(min(FALSIFIER_CHUNK, trials))
     counts = np.zeros(4, dtype=np.int64)
     worst, worst_trial = math.inf, 0
     listed: list[int] = []
     for start in range(0, trials, FALSIFIER_CHUNK):
-        u = rng.random((min(FALSIFIER_CHUNK, trials - start), 2 * FALSIFIER_ATOMS + 1))
-        _, margin, flags = _evaluate(*_trial_laws(u))
+        *_, margin, flags = _chunk(rng, work, min(FALSIFIER_CHUNK, trials - start))
         counts += flags.sum(axis=1)
         k = int(np.argmin(margin))
         if margin[k] < worst:
@@ -463,9 +555,7 @@ def replay_trial(seed: int, index: int) -> ReplayedTrial:
     falsifier's own arithmetic: its moments and margin are the ones seen."""
     if index < 0:
         raise ValueError("index must be nonnegative")
-    width = 2 * FALSIFIER_ATOMS + 1
-    xs, ws = _trial_laws(_stream(seed, index * width).random((1, width)))
-    moments, margin, _ = _evaluate(xs, ws)
-    law = DiscreteDistribution.from_pairs((x, w) for x, w in zip(xs[0], ws[0]) if w > 0.0)
-    mv = MomentVector(*(float(m[0]) for m in moments))
+    xs, ws, sums, margin, _ = _chunk(_stream(seed, index * (2 * FALSIFIER_ATOMS + 1)), _workspace(1), 1)
+    law = DiscreteDistribution.from_pairs((x, w) for x, w in zip(xs[:, 0], ws[:, 0]) if w > 0.0)
+    mv = MomentVector(1.0, *(float(m[0]) for m in sums))
     return ReplayedTrial(law, mv, float(margin[0]))

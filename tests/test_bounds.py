@@ -332,6 +332,16 @@ class TestTwoPointRecovery:
             back = certificate_from_hankel(moments_from_discrete(mirror)).recovered.atoms
             assert back == tuple((-x, p) for x, p in reversed(atoms))
 
+    @pytest.mark.parametrize("m2", [1e-20, 1e-320])
+    def test_small_slack_without_an_attaining_law_is_not_tight(self, m2):
+        mv = MomentVector(1, 0, m2, 5e-9, 1)
+        assert mv.psd
+        res = bound_sqrt(mv)
+        assert abs(res.scaled_slack) <= 1e-8
+        assert not res.tight and res.witness is None
+        with pytest.raises(InfeasibleMomentsError, match="no law on two points"):
+            certificate_from_hankel(mv)
+
     def test_singular_without_positive_variance_rejected(self):
         # PSD only within tolerance: Var X / s^2 = -1e-12, but Var X^2 / s^4 ~ 0.94
         mv = MomentVector(1, 0.5, 0.25 - 1e-12, 0.125 - 1e-12, 1)

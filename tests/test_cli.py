@@ -174,6 +174,18 @@ class TestBoundCommand:
         assert report["tolerance"] == 1e-20
         assert report["interval"]["lo"] <= 0.0 <= report["interval"]["hi"]
 
+    @pytest.mark.parametrize("m2", ["1e-20", "1e-320"])
+    def test_tiny_variance_is_not_tight(self, capsys, m2):
+        # |slack| / s^3 = 5e-9 is within the tolerance, but no two-point law
+        # has these moments: the zero-mean one with this m2 and m3 has
+        # m4 = 2500 (m2 = 1e-20), or an atom beyond double range (1e-320)
+        code, report, err = run(capsys, "bound", "--moments", "1", "0", m2, "5e-9", "1")
+        assert (code, err) == (0, "")
+        for res in report["bounds"].values():
+            assert res.get("tight") is not True and "witness" not in res
+        assert abs(report["bounds"]["sqrt"]["scaled_slack"]) <= 1e-8
+        assert "certificate" not in report
+
     def test_report_shows_margins(self, capsys):
         code, report, _ = run(capsys, "bound", "--moments", "1", "0", "1", "0", "2")
         feas = report["feasibility"]
@@ -346,6 +358,32 @@ class TestVerifyCommand:
         assert code == (0 if verified else 1)
         scaled_gap = report["gap"] / report["input"]["m4"] ** 0.75
         assert (scaled_gap <= report["gap_tolerance"]) is verified
+
+    @pytest.mark.parametrize("lam", [1e-30, 1e-20, 1e77])
+    def test_lp_oracle_is_scale_free(self, capsys, lam):
+        # grid [-1, 1] at step 0.01 with m4 = 0.1, scaled by lam: at 1e77 the
+        # grid ends are the largest whose fourth power fits a double
+        def verify(lam):
+            argv = ["--grid-lo", -lam, "--grid-hi", lam, "--step", 0.01 * lam, "--m4", 0.1 * lam**4]
+            return run(capsys, "verify", *map(str, argv), "--trials", "10")
+
+        (code, unit, _), (scaled_code, report, err) = verify(1.0), verify(lam)
+        assert code == scaled_code == 0 and err == ""
+        assert report["verified"] is True
+        assert report["lp_pivots"] == unit["lp_pivots"]
+        assert report["oracle_max_m3"] == pytest.approx(lam**3 * unit["oracle_max_m3"], rel=1e-9)
+        assert report["gap"] == pytest.approx(lam**3 * unit["gap"], rel=1e-6)
+        got = [v for a in report["oracle_argmax"] for v in (a["x"] / lam, a["p"])]
+        assert got == pytest.approx([v for a in unit["oracle_argmax"] for v in (a["x"], a["p"])], rel=1e-9)
+        y0, y1, y2 = report["oracle_dual"]
+        assert [y0 / lam**3, y1 / lam**2, y2 * lam] == pytest.approx(unit["oracle_dual"], rel=1e-9)
+
+    @pytest.mark.parametrize("lam", [1e-30, 1e-20])
+    def test_default_problem_verifies_at_small_scale(self, capsys, lam):
+        argv = ["--grid-lo", -3 * lam, "--grid-hi", 3 * lam, "--step", 0.01 * lam, "--m4", lam**4]
+        code, report, err = run(capsys, "verify", *map(str, argv), "--trials", "10")
+        assert (code, err) == (0, "")
+        assert report["verified"] is True and report["lp_pivots"] == 18
 
     def test_grid_with_overflowing_fourth_power_exit_2(self, capsys, monkeypatch):
         monkeypatch.setattr(oracle.OracleConfig, "grid", None)  # no grid may be built
@@ -540,6 +578,24 @@ exec("from momentbounds import *", namespace)
 assert all(name in namespace for name in momentbounds.__all__)
 print("ok")
 """
+
+
+def test_closed_stdout_exits_5_without_traceback():
+    read, write = os.pipe()
+    os.close(read)  # every write to the pipe now fails
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "momentbounds.cli", "bound", "--moments", "1", "0", "1e-20", "5e-9", "1"],
+            stdout=write,
+            stderr=subprocess.PIPE,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            timeout=120,
+        )
+    finally:
+        os.close(write)
+    assert proc.returncode == cli.EXIT_CLOSED_STDOUT == 5
+    assert proc.stderr == ""
 
 
 def test_scalar_subcommands_import_no_numpy():

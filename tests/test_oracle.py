@@ -270,13 +270,14 @@ class TestOracleMaxM3:
             lp_max(np.array([[1.0, -1.0]]), np.array([0.0]), np.array([1.0, 0.0]))
 
     def test_oracle_refuses_uncertified_optimum(self, monkeypatch):
-        solve = oracle.lp_max
+        # phase 2 of the simplex returns every optimum the oracles certify
+        solve = oracle._phase2
 
-        def tampered(A, b, c):
-            sol = solve(A, b, c)
+        def tampered(start, c):
+            sol = solve(start, c)
             return sol._replace(y=sol.y * 0.5)
 
-        monkeypatch.setattr(oracle, "lp_max", tampered)
+        monkeypatch.setattr(oracle, "_phase2", tampered)
         with pytest.raises(CertificateError):
             oracle_max_m3(COARSE)
         with pytest.raises(CertificateError):
@@ -443,6 +444,27 @@ class TestRandomFalsifier:
         rep = random_falsifier(trials=40, seed=2)
         assert rep.eq_quarter_violations == 40
         assert rep.violating_trials == tuple(range(oracle.LISTED_VIOLATIONS))
+
+    #: Reports of the chunk-by-chunk falsifier before its atom-major rewrite.
+    PINNED = {
+        (1, 0): oracle.FalsifierReport(1, 0, 0, 0, 0, 0.03511468328782169, 0, ()),
+        (4097, 3): oracle.FalsifierReport(4097, 0, 0, 0, 0, -4.769101780155438e-14, 2487, ()),
+        (30000, 7): oracle.FalsifierReport(30000, 0, 0, 0, 0, -1.0619003506379121e-12, 13609, ()),
+    }
+
+    @pytest.mark.parametrize("trials, seed", sorted(PINNED))
+    def test_reports_are_pinned(self, trials, seed):
+        rep = random_falsifier(trials, seed)
+        assert rep == self.PINNED[trials, seed]  # worst_scaled_slack included
+        assert replay_trial(seed, rep.worst_trial).scaled_margin == rep.worst_scaled_slack
+
+    def test_cut_network_sorts(self):
+        # a comparator network sorts every input iff it sorts every 0-1 input
+        for bits in range(2 ** (oracle.FALSIFIER_ATOMS - 1)):
+            row = [(bits >> k) & 1 for k in range(oracle.FALSIFIER_ATOMS - 1)]
+            for i, j in oracle._SORT_7:
+                row[i], row[j] = min(row[i], row[j]), max(row[i], row[j])
+            assert row == sorted(row)
 
     def test_replay_reproduces_worst_trial(self):
         rep = random_falsifier(trials=5000, seed=9)
