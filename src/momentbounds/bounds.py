@@ -14,8 +14,7 @@ gives the exact two-sided range of m3 compatible with (m1, m2, m4).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from collections import namedtuple
 
 from .moments import (
     DiscreteDistribution,
@@ -69,45 +68,36 @@ def mean_nonpositive(mv: MomentVector) -> bool:
     return mv.m1 <= M1_PRECONDITION_TOL * mv.s
 
 
-@dataclass(frozen=True)
-class BoundResult:
-    """A bound on m3 with its slack and, when tight, the attaining witness.
+class BoundResult(namedtuple("BoundResult", "bound slack scaled_slack tight witness", defaults=(None,))):
+    """A bound on m3 with its slack and, when tight, the attaining witness
+    (a ``DiscreteDistribution``, else None).
 
     ``scaled_slack`` is slack / s^3 with s = m4^(1/4), the slack of X / s:
     the bound is tight iff its magnitude is at most the tolerance.
     """
 
-    bound: float
-    slack: float
-    scaled_slack: float
-    tight: bool
-    witness: Optional[DiscreteDistribution] = None
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class MomentInterval:
+class MomentInterval(namedtuple("MomentInterval", "lo hi")):
     """Exact range [lo, hi] of m3 values compatible with (m1, m2, m4)."""
 
-    lo: float
-    hi: float
+    __slots__ = ()
 
     def contains(self, m3: float, widen: float = 0.0) -> bool:
         """lo - widen <= m3 <= hi + widen; elementwise when the fields are arrays."""
         return (self.lo - widen <= m3) & (m3 <= self.hi + widen)
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(namedtuple("Certificate", "coeffs roots recovered")):
     """Null vector of a singular Hankel matrix and the distribution it pins down.
 
     coeffs is a unit vector (a0, a1, a2) with a0 + a1 X + a2 X^2 = 0 almost
-    surely; its real roots are the support points of the unique boundary
-    distribution, recovered with the weights that match m0 to m3.
+    surely; its real roots (a tuple) are the support points of the unique
+    boundary distribution, ``recovered`` with the weights that match m0 to m3.
     """
 
-    coeffs: tuple[float, float, float]
-    roots: tuple[float, ...]
-    recovered: DiscreteDistribution
+    __slots__ = ()
 
 
 def _require_feasible(mv: MomentVector) -> None:

@@ -28,8 +28,6 @@ import math
 import os
 import re
 import sys
-from dataclasses import asdict
-from typing import Any, Optional
 
 from . import __version__
 from .bounds import (
@@ -52,6 +50,10 @@ from .moments import (
     feasibility,
     moments_from_discrete,
 )
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Any
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -147,7 +149,7 @@ def cmd_moments(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
         {
             "moments": _moments_json(mv),
             "abs_third_moment": abs_third_moment(dist),
-            "feasibility": asdict(feasibility(mv)),
+            "feasibility": feasibility(mv)._asdict(),
         }
     )
     return report, EXIT_OK
@@ -161,7 +163,7 @@ def cmd_bound(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
     report = _base_report("bound", echo)
     report["moments"] = _moments_json(mv)
     report["tolerance"] = args.tol
-    report["feasibility"] = asdict(rep)
+    report["feasibility"] = rep._asdict()
     iv = m3_interval(mv.m1, mv.m2, mv.m4)
     report["interval"] = {"lo": iv.lo, "hi": iv.hi}
     report["bounds"] = {"trivial": {"bound": bound_trivial(mv)}}
@@ -244,7 +246,7 @@ def cmd_verify(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
             "constraint_residuals": list(oracle.constraint_residuals),
             "oracle_dual": list(oracle.dual),
             "lp_pivots": oracle.pivots,
-            "falsifier": asdict(falsifier),
+            "falsifier": falsifier._asdict(),
         }
     )
     ok = falsifier.total_violations == 0 and abs(gap) <= args.gap_tol * args.m4**0.75
@@ -319,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -14,10 +14,12 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Sequence
+from collections import namedtuple
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
+    from typing import Iterable, Sequence
+
     import numpy as np
 
 __all__ = [
@@ -53,8 +55,10 @@ class CertificateError(RuntimeError):
 
 
 def floor_at(v, lo: float):
-    """max(v, lo) for a float, elementwise for an array (v above -inf)."""
-    return v * (v > lo) + lo * (v <= lo)
+    """max(v, lo) for a float, elementwise for an array in one pass; lo where
+    v <= lo, so +0.0 for v = -0.0 and lo = 0.0 (on equal zeros numpy's
+    maximum returns its second operand, lo)."""
+    return (v if v > lo else lo) if isinstance(v, (float, int)) else v.clip(lo)
 
 
 def root(v):
@@ -83,8 +87,13 @@ def standardize(m1, m2, m3, m4):
 
 def principal_minors(m1, m2, m3, m4):
     """The seven principal minors of H, in the order
-    1, m2, m4, m2 - m1^2, m4 - m2^2, m2 m4 - m3^2, det H; floats or arrays."""
-    return (1.0, m2, m4, m2 - m1 * m1, m4 - m2 * m2, m2 * m4 - m3 * m3, hankel_det(m1, m2, m3, m4))
+    1, m2, m4, m2 - m1^2, m4 - m2^2, m2 m4 - m3^2, det H; floats or arrays.
+    det H is the explicit polynomial (m0 = 1), sharing the 2x2 minors'
+    products: products only, so floats and arrays round alike and nothing
+    raises OverflowError."""
+    m11, m22, m33, m24 = m1 * m1, m2 * m2, m3 * m3, m2 * m4
+    det = m24 - m22 * m2 - m11 * m4 + 2.0 * m1 * m2 * m3 - m33
+    return (1.0, m2, m4, m2 - m11, m4 - m22, m24 - m33, det)
 
 
 def psd_verdict(a1, a2, a3, a4, tol: float = DEFAULT_PSD_TOL):
@@ -113,44 +122,46 @@ def psd_tol(m4: float) -> float:
     return DEFAULT_PSD_TOL
 
 
-@dataclass(frozen=True)
-class MomentVector:
+def _validated_make(cls, iterable):
+    """``_make``, and so ``_replace``, through a validating ``__new__``."""
+    return cls(*iterable)
+
+
+class MomentVector(namedtuple("MomentVector", "m0 m1 m2 m3 m4")):
     """Raw moments (m0, m1, m2, m3, m4) with m0 = 1.
 
     ``s`` and ``unit`` are the standardization ``standardize(m1, m2, m3, m4)``,
     and ``psd`` and ``minors`` the verdict ``psd_verdict(*unit, psd_tol(m4))``
-    on it, all computed once here: every other layer reads them.
+    on it, all computed once here: every other layer reads them.  They are
+    attributes in the instance dict, not fields: the tuple holds the five
+    moments.  Like the fields, they cannot be assigned or deleted.
     """
 
-    m0: float
-    m1: float
-    m2: float
-    m3: float
-    m4: float
-    s: float = field(init=False, repr=False, compare=False)
-    unit: tuple[float, float, float, float] = field(init=False, repr=False, compare=False)
-    psd: bool = field(init=False, repr=False, compare=False)
-    minors: tuple[float, ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if not all(math.isfinite(v) for v in (self.m0, self.m1, self.m2, self.m3, self.m4)):
+    def __new__(cls, m0, m1, m2, m3, m4):
+        if not all(math.isfinite(v) for v in (m0, m1, m2, m3, m4)):
             raise ValueError("non-finite moment")
-        if abs(self.m0 - 1.0) > WEIGHT_SUM_TOL:
+        if abs(m0 - 1.0) > WEIGHT_SUM_TOL:
             raise InfeasibleMomentsError("m0 must be 1")
-        object.__setattr__(self, "m0", 1.0)
-        if self.m2 < 0.0 or self.m4 < 0.0:
+        if m2 < 0.0 or m4 < 0.0:
             raise InfeasibleMomentsError("even moments must be nonnegative")
-        s, unit = standardize(self.m1, self.m2, self.m3, self.m4)
-        psd, minors = psd_verdict(*unit, psd_tol(self.m4))
-        for name, value in (("s", s), ("unit", unit), ("psd", psd), ("minors", minors)):
-            object.__setattr__(self, name, value)
+        self = super().__new__(cls, 1.0, m1, m2, m3, m4)
+        s, unit = standardize(m1, m2, m3, m4)
+        psd, minors = psd_verdict(*unit, psd_tol(m4))
+        vars(self).update(s=s, unit=unit, psd=psd, minors=minors)
+        return self
+
+    _make = classmethod(_validated_make)
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot set or delete {type(self).__name__}.{name}")
+
+    __delattr__ = __setattr__
 
     def as_tuple(self) -> tuple[float, float, float, float, float]:
-        return (self.m0, self.m1, self.m2, self.m3, self.m4)
+        return tuple(self)
 
 
-@dataclass(frozen=True)
-class DiscreteDistribution:
+class DiscreteDistribution(namedtuple("DiscreteDistribution", "atoms")):
     """Finitely many atoms (x, p) with p > 0 summing to 1.
 
     Construction drops zero-weight atoms, merges duplicate support points,
@@ -158,11 +169,11 @@ class DiscreteDistribution:
     1e-12), and sorts atoms ascending by support point.
     """
 
-    atoms: tuple[tuple[float, float], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, atoms):
         merged: dict[float, float] = {}
-        for x, p in self.atoms:
+        for x, p in atoms:
             x = float(x)
             p = float(p)
             if not (math.isfinite(x) and math.isfinite(p)):
@@ -177,15 +188,16 @@ class DiscreteDistribution:
         total = math.fsum(merged.values())
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
             raise ValueError("weights do not sum to 1")
-        normalized = tuple(sorted((x, p / total) for x, p in merged.items()))
-        object.__setattr__(self, "atoms", normalized)
+        return super().__new__(cls, tuple(sorted((x, p / total) for x, p in merged.items())))
+
+    _make = classmethod(_validated_make)
 
     @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[float, float]]) -> "DiscreteDistribution":
+    def from_pairs(cls, pairs: Iterable[tuple[float, float]]) -> DiscreteDistribution:
         return cls(tuple(pairs))
 
     @classmethod
-    def point_mass(cls, x: float) -> "DiscreteDistribution":
+    def point_mass(cls, x: float) -> DiscreteDistribution:
         return cls(((x, 1.0),))
 
 
@@ -232,14 +244,20 @@ def abs_third_moment(dist: DiscreteDistribution) -> float:
     return math.fsum(abs(p * x * x * x) for x, p in dist.atoms)
 
 
-@dataclass(frozen=True, eq=False)
-class HankelMatrix:
-    """3x3 Gram matrix of (1, X, X^2): H[i][j] = m_{i+j}."""
+class HankelMatrix(namedtuple("HankelMatrix", "entries")):
+    """3x3 Gram matrix of (1, X, X^2): H[i][j] = m_{i+j}, a read-only array.
 
-    entries: np.ndarray
+    Compared and hashed by identity: tuple equality would compare arrays.
+    """
 
-    def __post_init__(self) -> None:
-        self.entries.setflags(write=False)
+    __slots__ = ()
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
+
+    def __new__(cls, entries: np.ndarray):
+        entries.setflags(write=False)
+        return super().__new__(cls, entries)
+
+    _make = classmethod(_validated_make)
 
 
 def hankel(mv: MomentVector) -> HankelMatrix:
@@ -251,12 +269,9 @@ def hankel(mv: MomentVector) -> HankelMatrix:
 
 
 def hankel_det(m1, m2, m3, m4):
-    """det H as the explicit polynomial in m1..m4 (m0 = 1); floats or arrays.
-
-    Products only, so floats and arrays round alike and nothing raises
-    OverflowError.
-    """
-    return m4 * m2 - m2 * m2 * m2 - m1 * m1 * m4 + 2.0 * m1 * m2 * m3 - m3 * m3
+    """det H as the explicit polynomial in m1..m4 (m0 = 1), the last of
+    ``principal_minors``; floats or arrays."""
+    return principal_minors(m1, m2, m3, m4)[-1]
 
 
 def hankel_det_closed_form(mv: MomentVector) -> float:
@@ -264,8 +279,7 @@ def hankel_det_closed_form(mv: MomentVector) -> float:
     return hankel_det(mv.m1, mv.m2, mv.m3, mv.m4)
 
 
-@dataclass(frozen=True)
-class FeasibilityReport:
+class FeasibilityReport(namedtuple("FeasibilityReport", "psd scale minors decisive_minor margin")):
     """PSD verdict on the Hankel matrix of a moment vector, and how it was reached.
 
     ``scale`` is the standardization scale s = m4^(1/4), ``minors`` the
@@ -277,11 +291,7 @@ class FeasibilityReport:
     is not certified here.
     """
 
-    psd: bool
-    scale: float
-    minors: tuple[float, ...]
-    decisive_minor: float
-    margin: float
+    __slots__ = ()
 
 
 def feasibility(mv: MomentVector) -> FeasibilityReport:

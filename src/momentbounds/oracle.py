@@ -15,8 +15,7 @@ drawn and evaluated in bulk, and counts violations (expected: none).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from collections import namedtuple
 
 import numpy as np
 
@@ -27,6 +26,7 @@ from .moments import (
     DiscreteDistribution,
     InfeasibleMomentsError,
     MomentVector,
+    _validated_make,
     moments_from_discrete,
     psd_verdict,
     standardize,
@@ -34,7 +34,8 @@ from .moments import (
 
 __all__ = list(_ORACLE_NAMES)
 
-#: Basic weights at or below this are round-off of a degenerate vertex.
+#: Basic weights at or below this are round-off of a degenerate vertex
+#: (``_phase2`` checks that they carry no row).
 WEIGHT_CLAMP = 1e-12
 
 #: Relative round-off allowed in pricing (simplex) and in the certificate.
@@ -69,43 +70,42 @@ FALSIFIER_ATOMS = 8
 FALSIFIER_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class OracleConfig:
+class OracleConfig(namedtuple("OracleConfig", "grid_lo grid_hi grid_step m4_target max_support")):
     """Grid and constraint parameters of the oracles.
 
     ``max_support=2`` restricts ``oracle_max_m3`` to pairs of grid points.
     Oversized grids are rejected before anything is allocated.
     """
 
-    grid_lo: float = -3.0
-    grid_hi: float = 3.0
-    grid_step: float = 0.01
-    m4_target: float = 1.0
-    max_support: int = 3
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not (self.grid_step > 0.0 and math.isfinite(self.grid_step)):
+    def __new__(cls, grid_lo=-3.0, grid_hi=3.0, grid_step=0.01, m4_target=1.0, max_support=3):
+        if not (grid_step > 0.0 and math.isfinite(grid_step)):
             raise ValueError("grid_step must be positive")
-        if not self.grid_lo < self.grid_hi:
+        if not grid_lo < grid_hi:
             raise ValueError("grid_lo must be below grid_hi")
-        if self.max_support not in (2, 3):
+        if max_support not in (2, 3):
             raise ValueError("max_support must be 2 or 3")
-        if not (self.m4_target > 0.0 and math.isfinite(self.m4_target)):
+        if not (m4_target > 0.0 and math.isfinite(m4_target)):
             raise ValueError("m4_target must be positive")
-        cap = MAX_PAIR_GRID_POINTS if self.max_support == 2 else MAX_GRID_POINTS
-        span = (self.grid_hi - self.grid_lo) / self.grid_step + 1e-9
+        self = super().__new__(cls, grid_lo, grid_hi, grid_step, m4_target, max_support)
+        cap = MAX_PAIR_GRID_POINTS if max_support == 2 else MAX_GRID_POINTS
+        span = (grid_hi - grid_lo) / grid_step + 1e-9
         if not span < cap:  # also rejects infinite and NaN grid ends
             raise ValueError(f"grid of {span + 1:.3g} points exceeds the cap of {cap} "
-                             f"for max_support={self.max_support}")
+                             f"for max_support={max_support}")
         # The same arithmetic as grid()[-1], without building the grid.
-        top = self.grid_lo + self.grid_step * (self.size - 1)
-        big = max(-self.grid_lo, top)  # the largest |x| on the grid
+        top = grid_lo + grid_step * (self.size - 1)
+        big = max(-grid_lo, top)  # the largest |x| on the grid
         if big * big * big * big == math.inf:
             raise OverflowError("grid points whose fourth power is beyond double range")
-        if not (self.grid_lo < 0.0 and top > 0.0):
+        if not (grid_lo < 0.0 and top > 0.0):
             raise InfeasibleMomentsError(
                 "infeasible configuration: grid needs negative and positive points"
             )
+        return self
+
+    _make = classmethod(_validated_make)
 
     @property
     def size(self) -> int:
@@ -115,8 +115,8 @@ class OracleConfig:
         return self.grid_lo + self.grid_step * np.arange(self.size)
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(namedtuple("OracleResult", "max_m3 argmax constraint_residuals candidates_examined dual pivots",
+                              defaults=((), 0))):
     """Maximized m3 with the optimizing grid distribution.
 
     ``candidates_examined`` counts grid columns priced, summed over the
@@ -127,21 +127,13 @@ class OracleResult:
     y0 + y2 m4_target = max_m3.
     """
 
-    max_m3: float
-    argmax: DiscreteDistribution
-    constraint_residuals: tuple[float, float, float]
-    candidates_examined: int
-    dual: tuple[float, ...] = ()
-    pivots: int = 0
+    __slots__ = ()
 
 
-class LPSolution(NamedTuple):
+class LPSolution(namedtuple("LPSolution", "x y pivots priced")):
     """Primal weights x, duals y, simplex pivots and columns priced."""
 
-    x: np.ndarray
-    y: np.ndarray
-    pivots: int
-    priced: int
+    __slots__ = ()
 
 
 def _simplex(A, b, c, basis, n):
@@ -186,21 +178,21 @@ def _simplex(A, b, c, basis, n):
             raise CertificateError("simplex iteration limit reached")
 
 
-class _Start(NamedTuple):
-    """A scaled LP with the feasible basis phase 1 found for it."""
+class _Start(namedtuple("_Start", "A b rows basis pivots priced")):
+    """A scaled LP with the feasible basis phase 1 found for it: A with its
+    rows scaled and artificial columns appended, b, the row scales, the
+    basis (a list), and the pivots and columns priced."""
 
-    A: np.ndarray  # rows scaled, artificial columns appended
-    b: np.ndarray
-    rows: np.ndarray  # the row scales
-    basis: list
-    pivots: int
-    priced: int
+    __slots__ = ()
 
 
-def _phase1(A: np.ndarray, b: np.ndarray) -> Optional[_Start]:
+def _phase1(A: np.ndarray, b: np.ndarray) -> _Start | None:
     """Scale the rows of A x = b to unit magnitude (b nonnegative) and find a
     feasible basis by minimizing the sum of artificial columns; None if
-    infeasible.  Depends on (A, b) only, so one start serves any objective."""
+    infeasible.  Depends on (A, b) only, so one start serves any objective.
+    An artificial left basic must be within CERTIFICATE_TOL times its own
+    row's right-hand side (1 where that is 0): a small target left uncovered
+    is not met (m2 = 1e-10, m4 = 1e-19 on the default grid)."""
     m, n = A.shape
     row_max = np.abs(A).max(axis=1)
     rows = np.where(b < 0.0, -1.0, 1.0) / np.where(row_max > 0.0, row_max, 1.0)
@@ -208,14 +200,16 @@ def _phase1(A: np.ndarray, b: np.ndarray) -> Optional[_Start]:
     b1 = b * rows
     basis = list(range(n, n + m))
     inv, pivots, priced = _simplex(A1, b1, np.r_[np.zeros(n), -np.ones(m)], basis, n)
-    if sum(v for v, j in zip(inv @ b1, basis) if j >= n) > CERTIFICATE_TOL * max(1.0, np.abs(b1).max()):
+    if any(v > CERTIFICATE_TOL * (b1[j - n] or 1.0) for v, j in zip(inv @ b1, basis) if j >= n):
         return None
     return _Start(A1, b1, rows, basis, pivots, priced)
 
 
-def _phase2(start: _Start, c: np.ndarray) -> LPSolution:
+def _phase2(start: _Start, c: np.ndarray) -> LPSolution | None:
     """Maximize c @ x from the phase-1 basis of ``start`` (left unchanged);
-    the objective is scaled to unit magnitude first."""
+    the objective is scaled to unit magnitude first.  Basic weights at or
+    below WEIGHT_CLAMP are dropped; None if they carry more than
+    CERTIFICATE_TOL of a row's terms (5e-309 on x = 1e77 for m4 = 1)."""
     A1, b1, rows, basis = start.A, start.b, start.rows, list(start.basis)
     n = len(c)
     size_c = max(np.abs(c).max(), np.finfo(float).tiny)
@@ -223,13 +217,17 @@ def _phase2(start: _Start, c: np.ndarray) -> LPSolution:
     inv, pivots, priced = _simplex(A1, b1, c1, basis, n)
     x = np.zeros(len(c1))
     x[basis] = inv @ b1
-    x = np.where(x[:n] > WEIGHT_CLAMP, x[:n], 0.0)
+    kept = np.where(x[:n] > WEIGHT_CLAMP, x[:n], 0.0)
+    abs_a = np.abs(A1[:, :n])
+    if (abs_a @ np.abs(x[:n] - kept) > CERTIFICATE_TOL * (abs_a @ kept + b1)).any():
+        return None
     y = (c1[basis] @ inv) * rows * size_c
-    return LPSolution(x, y, start.pivots + pivots, start.priced + priced)
+    return LPSolution(kept, y, start.pivots + pivots, start.priced + priced)
 
 
-def lp_max(A: np.ndarray, b: np.ndarray, c: np.ndarray) -> Optional[LPSolution]:
-    """Maximize c @ x subject to A @ x = b, x >= 0; None if infeasible.
+def lp_max(A: np.ndarray, b: np.ndarray, c: np.ndarray) -> LPSolution | None:
+    """Maximize c @ x subject to A @ x = b, x >= 0; None if infeasible, or
+    if the optimum needs weights at or below WEIGHT_CLAMP.
 
     Dense two-phase revised simplex: phase 1 minimizes the sum of artificial
     columns, phase 2 starts from its basis.  An artificial still basic at
@@ -364,30 +362,26 @@ def oracle_extreme_m3_given(
     ends = []
     for sign in (-1.0, 1.0):
         sol = _phase2(start, sign * c)
+        if sol is None:
+            raise InfeasibleMomentsError("grid cannot represent the moment triple")
         check_certificate(A, b, sign * c, sol.x, sol.y)
         support = np.flatnonzero(sol.x)
         ends.append(math.fsum(c[support] * sol.x[support]) * (s * s * s))
     return ends[0], ends[1]
 
 
-@dataclass(frozen=True)
-class FalsifierReport:
+class FalsifierReport(namedtuple("FalsifierReport", "trials eq_sqrt_violations eq_quarter_violations interval_violations "
+                                 "psd_violations worst_scaled_slack worst_trial violating_trials")):
     """Violation counts from randomized stress-testing of the bounds.
 
     ``worst_trial`` has the smallest scaled margin (``worst_scaled_slack``):
     the least of the two bounds' slacks and the m3 interval's two margins,
     each divided by s^3, s = m4^(1/4), like ``BoundResult.scaled_slack``.
-    ``replay_trial`` rebuilds any trial from (seed, index).
+    ``replay_trial`` rebuilds any trial from (seed, index); the
+    ``violating_trials`` tuple lists the first LISTED_VIOLATIONS by index.
     """
 
-    trials: int
-    eq_sqrt_violations: int
-    eq_quarter_violations: int
-    interval_violations: int
-    psd_violations: int
-    worst_scaled_slack: float
-    worst_trial: int
-    violating_trials: tuple[int, ...]
+    __slots__ = ()
 
     @property
     def total_violations(self) -> int:
@@ -399,13 +393,11 @@ class FalsifierReport:
         )
 
 
-class ReplayedTrial(NamedTuple):
+class ReplayedTrial(namedtuple("ReplayedTrial", "law moments scaled_margin")):
     """One falsifier trial: its law, the moments and scaled margin (slack / s^3)
     the falsifier computed."""
 
-    law: DiscreteDistribution
-    moments: MomentVector
-    scaled_margin: float
+    __slots__ = ()
 
 
 def _stream(seed: int, skip: int = 0) -> np.random.Generator:

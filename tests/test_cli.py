@@ -391,6 +391,14 @@ class TestVerifyCommand:
         assert code == 2 and report is None
         assert "fourth power is beyond double range" in err
 
+    def test_target_reached_only_by_clamped_weights_exit_3(self, capsys):
+        # m4 = 1 on points 0, +-1e75, ..., +-1e77 needs weights near 1e-300,
+        # below the oracle's weight clamp: infeasible, not an uncertified optimum
+        argv = ["--grid-lo", "-1e77", "--grid-hi", "1e77", "--step", "1e75", "--trials", "10"]
+        code, report, err = run(capsys, "verify", *argv)
+        assert (code, report) == (3, None)
+        assert err == "momentbounds: infeasible configuration\n"
+
     def test_oversized_grid_exit_2(self, capsys):
         code, report, err = run(capsys, "verify", "--step", "1e-9")
         assert code == 2
@@ -567,9 +575,11 @@ for argv in cases:
 assert "certificate" in json.loads(out.getvalue())
 assert "numpy" not in sys.modules, "the scalar CLI imported numpy"
 assert "momentbounds.oracle" not in sys.modules
+assert "dataclasses" not in sys.modules, "the scalar CLI imported dataclasses"
 
 import momentbounds
 assert callable(momentbounds.oracle_max_m3)
+assert "dataclasses" not in sys.modules, "the oracle imported dataclasses"
 assert momentbounds.OracleConfig is momentbounds.oracle.OracleConfig
 assert momentbounds.CertificateError is momentbounds.oracle.CertificateError
 assert list(momentbounds.__all__[-len(momentbounds.oracle.__all__):]) == momentbounds.oracle.__all__

@@ -18,7 +18,7 @@ from momentbounds import (
     quarter_bound,
     scale_moments,
 )
-from momentbounds.moments import psd_tol, root, standardize
+from momentbounds.moments import floor_at, hankel_det, principal_minors, psd_tol, root, standardize
 
 
 def tol_scale(mv):
@@ -306,6 +306,44 @@ def test_quarter_bound_floats_and_arrays_agree():
     rng = np.random.default_rng(14)
     for xs in (rng.uniform(0.0, 1e6, size=20_000), 1.0 + rng.uniform(-1e-12, 1e-12, size=2000)):
         np.testing.assert_array_equal(quarter_bound(xs), [quarter_bound(float(x)) for x in xs])
+
+
+def reference_floor_at(v, lo):
+    """The five-pass form of ``floor_at``, kept as the reference for its values."""
+    return v * (v > lo) + lo * (v <= lo)
+
+
+def reference_minors(m1, m2, m3, m4):
+    """``principal_minors`` with det H written out, before the shared products."""
+    det = m4 * m2 - m2 * m2 * m2 - m1 * m1 * m4 + 2.0 * m1 * m2 * m3 - m3 * m3
+    return (1.0, m2, m4, m2 - m1 * m1, m4 - m2 * m2, m2 * m4 - m3 * m3, det)
+
+
+class TestFormulaHelpers:
+    VALUES = (-2.5, -1.0, -1e-300, -5e-324, -0.0, 0.0, 5e-324, 1e-300, 0.7, 1.0, 3.0, 1e300, np.inf)
+
+    @pytest.mark.parametrize("lo", [0.0, -1.0, 1.0])
+    def test_floor_at_keeps_values_and_sign_of_zero(self, lo):
+        for v in self.VALUES:
+            got, want = floor_at(v, lo), reference_floor_at(v, lo)
+            assert (got, math.copysign(1.0, got)) == (want, math.copysign(1.0, want)), v
+        xs = np.array(self.VALUES * 400)  # long enough for numpy's vector loops
+        for a in (xs, xs[:1], xs[4:5], xs[:7], xs[::3]):
+            got, want = floor_at(a, lo), reference_floor_at(a, lo)
+            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+    def test_principal_minors_keep_their_bits(self):
+        rng = np.random.default_rng(15)
+        m = rng.uniform(-1.0, 1.0, size=(4, 5000))
+        m[1], m[3] = np.abs(m[1]), np.abs(m[3])  # m2, m4 >= 0
+        got, want = principal_minors(*m), reference_minors(*m)
+        for g, w in zip(got[1:], want[1:]):
+            np.testing.assert_array_equal(g, w)
+        for col in m.T[:200]:
+            args = [float(v) for v in col]
+            assert principal_minors(*args) == reference_minors(*args)
+            assert hankel_det(*args) == reference_minors(*args)[-1]
 
 
 class TestScaleMoments:

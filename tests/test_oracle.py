@@ -408,6 +408,15 @@ class TestOracleExtremeGiven:
         with pytest.raises(InfeasibleMomentsError, match="grid cannot represent"):
             oracle_extreme_m3_given(0.0, 0.25, 0.2, cfg)
 
+    def test_small_target_left_uncovered_is_infeasible(self):
+        # m4 / m2 = 1e-9 needs |x| ~ 3e-5, finer than the grid: phase 1 ends
+        # with the m2 row's artificial at its whole (scaled) target 1.1e-11
+        g = OracleConfig().grid()
+        A, b = np.vstack([np.ones_like(g), g, g**2, g**4]), np.array([1.0, 0.0, 1e-10, 1e-19])
+        assert oracle._phase1(A, b) is None
+        with pytest.raises(InfeasibleMomentsError, match="grid cannot represent"):
+            oracle_extreme_m3_given(0.0, 1e-10, 1e-19, OracleConfig())
+
 
 class TestRandomFalsifier:
     def test_no_violations(self):
