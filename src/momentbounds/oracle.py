@@ -49,9 +49,9 @@ CERTIFICATE_TOL = 1e-9
 STALLS_PER_ROW = 4
 
 #: Grid points accepted by the LP (O(n) memory) and by the support-2 pair
-#: oracle (O(n^2) memory: at 1201 points it prices 321 602 pairs in ~0.02 s,
-#: and a process that makes the call peaks at ~39 MB RSS, ~12 MB above numpy
-#: imported; 2-CPU x86-64 host, numpy 2.4).
+#: oracle (O(n^2) memory: at 1201 points it prices 321 602 pairs in ~5 ms,
+#: ~9 ms as a process's first call, and that process peaks at ~36.5 MB RSS,
+#: ~10 MB above numpy imported; 2-CPU x86-64 host, numpy 2.4).
 MAX_GRID_POINTS = 1_000_001
 MAX_PAIR_GRID_POINTS = 1_201
 
@@ -97,6 +97,7 @@ class OracleConfig(namedtuple("OracleConfig", "grid_lo grid_hi grid_step m4_targ
         # The same arithmetic as grid()[-1], without building the grid.
         top = grid_lo + grid_step * (self.size - 1)
         big = max(-grid_lo, top)  # the largest |x| on the grid
+        big = max(big, big / _scale(self))  # pairs take x^4, the LPs (x / s)^4
         if big * big * big * big == math.inf:
             raise OverflowError("grid points whose fourth power is beyond double range")
         if not (grid_lo < 0.0 and top > 0.0):
@@ -136,52 +137,54 @@ class LPSolution(namedtuple("LPSolution", "x y pivots priced")):
     __slots__ = ()
 
 
-def _simplex(A, b, c, basis, n):
-    """Revised simplex from a feasible basis: max c @ x, A @ x = b, x >= 0.
+def _simplex(AT, abs_at, b, c, basis, n):
+    """Revised simplex from a feasible basis: max c @ x, A @ x = b, x >= 0,
+    with A given as AT = A.T (contiguous) and abs_at = |AT[:n]|.
 
     Columns from ``n`` on are artificial: they never enter, and one at zero
     blocks any pivot that would move it.  The entering column has the
     largest reduced cost, except after more than STALLS_PER_ROW * m
     degenerate pivots in a row, where it has the lowest index (Bland's
     rule) until the objective moves again: only degenerate pivots can
-    cycle, and Bland's rule cannot.
-    Ratio ties leave by lowest basis index.  Returns (inverse basis, pivots,
-    columns priced).
+    cycle, and Bland's rule cannot.  Ratio ties leave by lowest basis
+    index.  Each pivot updates the basis inverse by a rank-1 (eta) update;
+    the one returned is inverted afresh at optimality.  Returns (inverse
+    basis, pivots, columns priced).
     """
-    m = len(b)
-    abs_a, abs_c = np.abs(A[:, :n]), np.abs(c[:n])
+    m, abs_c = len(b), np.abs(c[:n])
     zero = PRICE_TOL * max(1.0, np.abs(b).max())
+    inv, c_b = np.linalg.inv(AT[basis].T), c[basis]
     pivots = priced = stalled = 0
     while True:
-        inv = np.linalg.inv(A[:, basis])
-        x_b = np.maximum(inv @ b, 0.0)
-        y = c[basis] @ inv
-        reduced = c[:n] - y @ A[:, :n]
+        y = c_b @ inv
+        reduced = c[:n] - AT[:n] @ y
         reduced[[j for j in basis if j < n]] = 0.0
         priced += n
-        enter = np.flatnonzero(reduced > PRICE_TOL * (abs_c + np.abs(y) @ abs_a))
-        if enter.size == 0:
-            return inv, pivots, priced
-        j = int(enter[0] if stalled > STALLS_PER_ROW * m else enter[np.argmax(reduced[enter])])
-        u = inv @ A[:, j]
-        pinned = (np.array(basis) >= n) & (x_b <= zero)
-        rows = np.flatnonzero((np.abs(u) > PRICE_TOL * max(1.0, np.abs(u).max())) & ((u > 0.0) | pinned))
-        if rows.size == 0:
+        eligible = reduced > PRICE_TOL * (abs_c + abs_at @ np.abs(y))
+        j = int(np.argmax(eligible if stalled > STALLS_PER_ROW * m else np.where(eligible, reduced, -np.inf)))
+        if not eligible[j]:
+            return np.linalg.inv(AT[basis].T), pivots, priced
+        u = inv @ AT[j]
+        big = PRICE_TOL * max(1.0, np.abs(u).max())
+        ratios = [(max(xr, 0.0) / abs(ur), k, r) for r, (ur, xr, k) in enumerate(zip(u.tolist(), (inv @ b).tolist(), basis))
+                  if abs(ur) > big and (ur > 0.0 or (k >= n and xr <= zero))]
+        if not ratios:
             raise CertificateError("unbounded linear program")
-        ratios = x_b[rows] / np.abs(u[rows])
-        step = ratios.min()
-        leave = min(rows[ratios == step], key=lambda r: basis[r])
+        step, _, leave = min(ratios)
         stalled = stalled + 1 if step <= zero else 0
-        basis[leave] = j
+        row = inv[leave] / u[leave]
+        inv -= u[:, None] * row
+        inv[leave] = row
+        basis[leave], c_b[leave] = j, c[j]
         pivots += 1
         if pivots > 10 * (m + n):
             raise CertificateError("simplex iteration limit reached")
 
 
-class _Start(namedtuple("_Start", "A b rows basis pivots priced")):
-    """A scaled LP with the feasible basis phase 1 found for it: A with its
-    rows scaled and artificial columns appended, b, the row scales, the
-    basis (a list), and the pivots and columns priced."""
+class _Start(namedtuple("_Start", "AT abs_at b rows basis pivots priced")):
+    """A scaled LP with the feasible basis phase 1 found for it: AT = A.T with
+    A's rows scaled and artificial columns appended, |AT| without them, b,
+    the row scales, the basis (a list), and the pivots and columns priced."""
 
     __slots__ = ()
 
@@ -196,13 +199,13 @@ def _phase1(A: np.ndarray, b: np.ndarray) -> _Start | None:
     m, n = A.shape
     row_max = np.abs(A).max(axis=1)
     rows = np.where(b < 0.0, -1.0, 1.0) / np.where(row_max > 0.0, row_max, 1.0)
-    A1 = np.hstack([A * rows[:, None], np.eye(m)])
-    b1 = b * rows
+    AT, b1 = np.vstack([A.T * rows, np.eye(m)]), b * rows
+    abs_at = np.abs(AT[:n])
     basis = list(range(n, n + m))
-    inv, pivots, priced = _simplex(A1, b1, np.r_[np.zeros(n), -np.ones(m)], basis, n)
+    inv, pivots, priced = _simplex(AT, abs_at, b1, np.r_[np.zeros(n), -np.ones(m)], basis, n)
     if any(v > CERTIFICATE_TOL * (b1[j - n] or 1.0) for v, j in zip(inv @ b1, basis) if j >= n):
         return None
-    return _Start(A1, b1, rows, basis, pivots, priced)
+    return _Start(AT, abs_at, b1, rows, basis, pivots, priced)
 
 
 def _phase2(start: _Start, c: np.ndarray) -> LPSolution | None:
@@ -210,16 +213,15 @@ def _phase2(start: _Start, c: np.ndarray) -> LPSolution | None:
     the objective is scaled to unit magnitude first.  Basic weights at or
     below WEIGHT_CLAMP are dropped; None if they carry more than
     CERTIFICATE_TOL of a row's terms (5e-309 on x = 1e77 for m4 = 1)."""
-    A1, b1, rows, basis = start.A, start.b, start.rows, list(start.basis)
+    abs_at, b1, rows, basis = start.abs_at, start.b, start.rows, list(start.basis)
     n = len(c)
     size_c = max(np.abs(c).max(), np.finfo(float).tiny)
     c1 = np.r_[c / size_c, np.zeros(len(b1))]
-    inv, pivots, priced = _simplex(A1, b1, c1, basis, n)
+    inv, pivots, priced = _simplex(start.AT, abs_at, b1, c1, basis, n)
     x = np.zeros(len(c1))
     x[basis] = inv @ b1
     kept = np.where(x[:n] > WEIGHT_CLAMP, x[:n], 0.0)
-    abs_a = np.abs(A1[:, :n])
-    if (abs_a @ np.abs(x[:n] - kept) > CERTIFICATE_TOL * (abs_a @ kept + b1)).any():
+    if (np.abs(x[:n] - kept) @ abs_at > CERTIFICATE_TOL * (kept @ abs_at + b1)).any():
         return None
     y = (c1[basis] @ inv) * rows * size_c
     return LPSolution(kept, y, start.pivots + pivots, start.priced + priced)
@@ -297,6 +299,11 @@ def oracle_max_m3(cfg: OracleConfig) -> OracleResult:
     return _result(cfg, g[support], sol.x[support], m3, sol.priced, dual=dual, pivots=sol.pivots)
 
 
+def _mix(p, a, b, out, tmp):
+    """p * a + (1.0 - p) * b, rounded as that expression is, into ``out``."""
+    return np.add(np.multiply(p, a, out=out), np.multiply(np.subtract(1.0, p, out=tmp), b, out=tmp), out=out)
+
+
 @np.errstate(divide="ignore", invalid="ignore")
 def _max_m3_pairs(cfg: OracleConfig, g: np.ndarray) -> OracleResult:
     """Best law on at most two grid points, pricing only the pairs that can reach m4.
@@ -310,7 +317,7 @@ def _max_m3_pairs(cfg: OracleConfig, g: np.ndarray) -> OracleResult:
     {mass, mean = 0} (the m4 residual then required to be exactly 0),
     so every admitted pair is a feasible point of the LP and the LP optimum
     dominates the result.  Ties go to the first family, then to the first
-    pair in (i, j) order.
+    pair in (i, j) order.  Blocks share buffers allocated once per call.
     """
     target = cfg.m4_target
     q, c = g**4, g**3
@@ -321,18 +328,26 @@ def _max_m3_pairs(cfg: OracleConfig, g: np.ndarray) -> OracleResult:
         blocks = [(slice(0, a + (q[a] == target)), slice(a, b)), (slice(a, b), slice(b - (q[b - 1] == target), g.size))]
     found = [(np.inf, 0, 0, 0, 0.0)]  # (-m3, family, i, j, p): the least wins
     priced = 0
+    largest = max([g[rows].size * g[cols].size for rows, cols in blocks], default=0)
+    work = np.empty((4, largest))
     for rows, cols in blocks:
         xi, xj, qi, qj, ci, cj = g[rows, None], g[cols], q[rows, None], q[cols], c[rows, None], c[cols]
-        if xi.size * xj.size == 0:
-            continue
         priced += xi.size * xj.size
-        p_m4 = (target - qj) / (qi - qj)
-        p_mean = xj / (xj - xi)
-        families = ((p_m4, p_m4 * xi + (1.0 - p_m4) * xj <= 0.0), (p_mean, p_mean * qi + (1.0 - p_mean) * qj == target))
+        p_m4, p_mean, t, u = (v[: xi.size * xj.size].reshape(xi.size, xj.size) for v in work)
+        np.divide(target - qj, np.subtract(qi, qj, out=p_m4), out=p_m4)
+        np.divide(xj, np.subtract(xj, xi, out=p_mean), out=p_mean)
+        families = ((p_m4, _mix(p_m4, xi, xj, t, u) <= 0.0), (p_mean, _mix(p_mean, qi, qj, t, u) == target))
         for family, (p, feasible) in enumerate(families):
-            m3 = np.where((p >= 0.0) & (p <= 1.0) & feasible, p * ci + (1.0 - p) * cj, -np.inf)
-            k, l = np.unravel_index(np.argmax(m3), m3.shape)
-            found.append((-float(m3[k, l]), family, rows.start + int(k), cols.start + int(l), float(p[k, l])))
+            cells = np.flatnonzero((p >= 0.0) & (p <= 1.0) & feasible)
+            if cells.size == 0:
+                continue
+            if family == 0:
+                m3 = _mix(p, ci, cj, t, u).ravel()[cells]
+            else:  # few cells: m4 comes out exact only by chance or symmetry
+                m3 = p.flat[cells] * ci.flat[cells // xj.size] + (1.0 - p.flat[cells]) * cj[cells % xj.size]
+            k = int(np.argmax(m3))
+            i, j = divmod(int(cells[k]), xj.size)
+            found.append((-float(m3[k]), family, rows.start + i, cols.start + j, float(p[i, j])))
     neg_m3, _, i, j, p = min(found)
     if neg_m3 == np.inf:
         raise InfeasibleMomentsError("infeasible configuration")

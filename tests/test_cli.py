@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -388,6 +389,17 @@ class TestVerifyCommand:
     def test_grid_with_overflowing_fourth_power_exit_2(self, capsys, monkeypatch):
         monkeypatch.setattr(oracle.OracleConfig, "grid", None)  # no grid may be built
         code, report, err = run(capsys, "verify", "--grid-lo", "-2e77", "--grid-hi", "2e77", "--step", "1e75")
+        assert code == 2 and report is None
+        assert "fourth power is beyond double range" in err
+
+    def test_scaled_grid_with_overflowing_fourth_power_exit_2(self, capsys, monkeypatch):
+        # x^4 fits a double on this grid, but the LPs take (x / s)^4, and
+        # s = m4^(1/4) ~ 3e-3 puts 1e77 / s beyond the cap
+        monkeypatch.setattr(oracle.OracleConfig, "grid", None)  # no grid may be built
+        argv = ["--grid-lo", "-1e77", "--grid-hi", "1e77", "--step", "1e75", "--m4", "1e-10", "--trials", "10"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, report, err = run(capsys, "verify", *argv)
         assert code == 2 and report is None
         assert "fourth power is beyond double range" in err
 

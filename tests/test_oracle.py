@@ -132,6 +132,12 @@ class TestOracleConfig:
             with pytest.raises(OverflowError, match="fourth power"):
                 OracleConfig(grid_lo=lo, grid_hi=hi, grid_step=1e75)
 
+    def test_grid_overflowing_only_in_units_of_s_rejected(self):
+        # the LP rows hold (x / s)^4, s = m4_target^(1/4): 1e77 / 3.2e-3 overflows
+        with pytest.raises(OverflowError, match="fourth power"):
+            OracleConfig(grid_lo=-1e77, grid_hi=1e77, grid_step=1e75, m4_target=1e-10)
+        assert OracleConfig(grid_lo=-1e74, grid_hi=1e74, grid_step=1e72, m4_target=1e-10).size == 201
+
     def test_caps_are_per_path(self):
         assert OracleConfig(grid_step=0.001).size == 6001
         assert OracleConfig(grid_step=0.005, max_support=2).size == 1201
@@ -300,6 +306,64 @@ class TestOracleMaxM3:
         assert three.max_m3 >= two.max_m3 - 1e-12
         # the true optimum is two-point, so the refinement is grid-resolution small
         assert three.max_m3 - two.max_m3 <= 0.05
+
+
+class TestPinnedResults:
+    """Exact results of the LP and pair kernels: a change to either kernel's
+    arithmetic that moves an optimum, a tie-break or a count shows here."""
+
+    def test_default_max_m3(self):
+        res = oracle_max_m3(OracleConfig())
+        assert res.max_m3 == 0.6203825005110035
+        assert res.argmax.atoms == (
+            (-0.3999999999999999, 0.09582419872630345),
+            (-0.3900000000000001, 0.6939831980547376),
+            (1.4699999999999998, 0.21019260321895894),
+        )
+        assert res.dual == (0.15707255978742204, 0.5823332356748643, 0.46330994072358134)
+        assert (res.pivots, res.candidates_examined) == (18, 12040)
+
+    @pytest.mark.parametrize(
+        "triple, ends",
+        [
+            ((0.0, 1.0, 2.0), (-0.9999606199999839, 0.9999606199999995)),
+            ((0.0, 2.0, 6.0), (-1.9999999999999716, 1.9999999999999645)),
+            ((-0.5, 1.0, 2.0), (-1.3660004347825891, 0.36595043478259587)),
+        ],
+    )
+    def test_default_m3_range(self, triple, ends):
+        assert oracle_extreme_m3_given(*triple, OracleConfig()) == ends
+
+    @pytest.mark.parametrize(
+        "kwargs, m3, atoms, priced",
+        [
+            ({"grid_lo": -2.0, "grid_hi": 3.5}, 0.6160595068594874,
+             ((-0.3899999999999999, 0.7954087254686415), (1.48, 0.2045912745313585)), 70752),
+            ({"grid_lo": -4.0, "grid_hi": 1.5, "grid_step": 0.02, "m4_target": 0.3}, 0.2507381891701563,
+             ((-0.2799999999999998, 0.7984479943337562), (1.1000000000000005, 0.20155200566624376)), 15075),
+            ({"grid_step": 0.1, "m4_target": 2.5}, 1.1875693930421902,
+             ((-0.5, 0.8120605107327907), (1.9000000000000004, 0.18793948926720927)), 900),
+            ({"grid_lo": -1.7, "grid_hi": 2.9, "grid_step": 0.05, "m4_target": 5.0}, 2.0552923076923078,
+             ((-0.5999999999999999, 0.790934065934066), (2.2, 0.209065934065934)), 2006),
+            ({"grid_lo": -3.0, "grid_hi": 3.0, "grid_step": 0.25, "m4_target": 16.0}, 4.908496732026143,
+             ((-0.75, 0.8056160735899298), (3.0, 0.19438392641007018)), 170),
+            # every {mass, m4} pair has m3 < 0; the best pair is {-1, 1} at mean 0,
+            # which only the {mass, mean = 0} family prices (x^4 equal at both)
+            ({"grid_lo": -2.0, "grid_hi": 1.0, "grid_step": 0.5}, 0.0, ((-1.0, 0.5), (1.0, 0.5)), 20),
+        ],
+    )
+    def test_pair_oracle(self, kwargs, m3, atoms, priced):
+        res = oracle_max_m3(OracleConfig(**kwargs, max_support=2))
+        assert (res.max_m3, res.argmax.atoms, res.candidates_examined) == (m3, atoms, priced)
+
+    def test_blands_rule_alone_reaches_the_same_optima(self, monkeypatch):
+        # with no stall allowance every degenerate pivot hands entry to Bland's
+        # rule, so that branch runs however round-off breaks degenerate ties
+        best = oracle_max_m3(OracleConfig()).max_m3
+        ends = oracle_extreme_m3_given(0.0, 2.0, 6.0, OracleConfig())
+        monkeypatch.setattr(oracle, "STALLS_PER_ROW", 0)
+        assert oracle_max_m3(OracleConfig()).max_m3 == pytest.approx(best, abs=1e-12)
+        assert oracle_extreme_m3_given(0.0, 2.0, 6.0, OracleConfig()) == pytest.approx(ends, abs=1e-12)
 
 
 class TestPairOracle:
