@@ -31,7 +31,10 @@ print("\nHankel matrix:")
 print(np.array_str(h.entries, precision=6))
 
 rep = feasibility(mv)
-print(f"\nPSD: {rep.psd}, standardized det = {rep.minors[-1]:.3e}  (singular: boundary case)")
+var_x, var_x2, cov = rep.covariance
+print(f"\nVar X, Var X^2, Cov(X, X^2) of X / s: {var_x:.6f}, {var_x2:.6f}, {cov:.6f}")
+print(f"PSD: {rep.psd}, standardized det = Var X Var X^2 - Cov^2 = {var_x * var_x2 - cov * cov:.3e}"
+      "  (singular: boundary case)")
 
 cert = certificate_from_hankel(mv)
 a0, a1, a2 = cert.coeffs

@@ -20,6 +20,8 @@ from .moments import (
     DiscreteDistribution,
     InfeasibleMomentsError,
     MomentVector,
+    cov_radius,
+    covariance,
     floor_at,
     psd_tol,
     root,
@@ -39,7 +41,6 @@ __all__ = [
     "m3_interval",
     "sqrt_bound",
     "quarter_bound",
-    "interval_ends",
     "two_point_zero_mean",
     "extremal_from_sigma",
     "certificate_from_hankel",
@@ -120,18 +121,6 @@ def quarter_bound(m4):
     """
     r = root(m4)
     return QUARTER_CONSTANT * (r * root(r))
-
-
-def interval_ends(m1, m2, m4):
-    """(lo, hi, a, b): m3 ranges over m1 m2 -/+ sqrt(a b), a = Var X, b = Var X^2.
-
-    Negative a or b are clamped to 0; floats or arrays.
-    """
-    a = m2 - m1 * m1
-    b = m4 - m2 * m2
-    half = root(floor_at(a, 0.0) * floor_at(b, 0.0))
-    center = m1 * m2
-    return center - half, center + half, a, b
 
 
 def bound_trivial(mv: MomentVector) -> float:
@@ -216,20 +205,20 @@ def bound_quarter(mv: MomentVector, tol: float = DEFAULT_TIGHT_TOL) -> BoundResu
 def m3_interval(m1: float, m2: float, m4: float) -> MomentInterval:
     """Exact two-sided range of m3 given (m1, m2, m4), any sign of m1.
 
-    The Hankel determinant, as a quadratic in m3, is nonnegative exactly on
-    [m1 m2 - sqrt(D), m1 m2 + sqrt(D)] with D = (m2 - m1^2)(m4 - m2^2);
-    equivalently Cov(X^2, X)^2 <= Var(X^2) Var(X).  Computed for X / s,
-    s = m4^(1/4), whose variances are minors 3 and 4 of ``MomentVector.minors``
-    and are held to the same ``psd_tol(m4)``.
+    H is PSD iff Cov(X, X^2) = m3 - m1 m2 is at most sqrt(Var X Var X^2)
+    in magnitude (see ``covariance``).  Computed for X / s, s = m4^(1/4),
+    whose Var X and Var X^2 are held to the same ``psd_tol(m4)`` as in
+    ``MomentVector.cov``.
     """
     if not all(math.isfinite(v) for v in (m1, m2, m4)):
         raise ValueError("non-finite moment")
     s, (a1, a2, _, a4) = standardize(m1, m2, 0.0, max(m4, 0.0))
-    lo, hi, a, b = interval_ends(a1, a2, a4)
+    a, b, _ = covariance(a1, a2, 0.0, a4)
     tol = psd_tol(m4)
     if m4 < 0.0 or a < -tol or b < -tol:
         raise InfeasibleMomentsError("infeasible (m1, m2, m4) triple")
-    return MomentInterval(lo=lo * s * s * s, hi=hi * s * s * s)
+    half, center = cov_radius(a, b), a1 * a2
+    return MomentInterval(lo=(center - half) * s * s * s, hi=(center + half) * s * s * s)
 
 
 def two_point_zero_mean(u: float, v: float) -> DiscreteDistribution:
@@ -261,28 +250,29 @@ def certificate_from_hankel(
 ) -> Certificate:
     """Extract the boundary distribution from a singular Hankel matrix.
 
-    Requires the standardized det H to be 0 within tol (and H PSD): then the
-    law sits on at most two points (the rank <= 2 case of Curto & Fialkow
-    1991), the roots of a0 + a1 X + a2 X^2.  When the three principal 2x2
-    minors of the standardized H are all within tol of 0, H has rank 1 and
-    the law is the point mass at m1.  Otherwise its variance must be
-    positive, and its mean, variance and third central moment fix its two
-    atoms and weights (``_two_point``), which must reproduce the
+    Requires the standardized det H = a b - c^2, (a, b, c) = ``mv.cov``, to
+    be 0 within tol (and H PSD): then the law sits on at most two points
+    (the rank <= 2 case of Curto & Fialkow 1991), the roots of
+    a0 + a1 X + a2 X^2.  When a and b are both within tol of 0, H has rank
+    1 and the law is the point mass at m1.  Otherwise its variance a must
+    be positive, and its mean, a and third central moment c - 2 m1 a fix
+    its two atoms and weights (``_two_point``), which must reproduce the
     standardized m2, m3 and m4 within tol.
     """
     _require_feasible(mv)
-    if abs(mv.minors[-1]) > tol:
+    a, b, c = mv.cov
+    if abs(a * b - c * c) > tol:
         raise InfeasibleMomentsError("interior point: no finite-support certificate of order <= 2")
-    if all(abs(d) <= tol for d in mv.minors[3:6]):
+    if abs(a) <= tol and abs(b) <= tol:
         roots: tuple[float, ...] = (float(mv.m1),)
         coeffs = (-mv.m1, 1.0, 0.0)
         atoms: tuple[tuple[float, float], ...] = ((roots[0], 1.0),)
-    elif mv.minors[3] <= 0.0:
+    elif a <= 0.0:
         raise InfeasibleMomentsError("singular Hankel matrix without a positive variance")
     else:
-        a1, a2, a3, _ = mv.unit
+        a1 = mv.unit[0]
         s = mv.s or 1.0  # s = 0 leaves the moments unscaled, as in ``standardize``
-        (lo, p), (hi, q) = unit_atoms = _two_point(a1, mv.minors[3], a3 - 3.0 * a1 * a2 + 2.0 * a1 * a1 * a1)
+        (lo, p), (hi, q) = unit_atoms = _two_point(a1, a, c - 2.0 * a1 * a)
         if not _reproduces(unit_atoms, mv.unit, tol):
             raise InfeasibleMomentsError("singular Hankel matrix, but no law on two points has these moments")
         roots = (s * lo, s * hi)

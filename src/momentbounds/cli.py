@@ -210,7 +210,10 @@ def cmd_extremal(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
 
 
 def cmd_verify(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
-    from .oracle import OracleConfig, oracle_max_m3, random_falsifier
+    try:
+        from .oracle import OracleConfig, oracle_max_m3, random_falsifier
+    except ImportError as exc:  # numpy is missing or broken; the other commands do not need it
+        raise ValueError(f"verify needs numpy, which failed to import ({exc}); install it with: pip install numpy") from None
 
     if args.trials <= 0:
         raise ValueError("trials must be positive")

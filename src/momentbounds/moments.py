@@ -3,10 +3,10 @@
 A moment vector (m0, m1, m2, m3, m4) collects the raw moments E X^j of a
 random variable X for j = 0..4, with m0 = 1 always.  Necessary for such a
 vector to come from a real random variable is that the 3x3 Hankel matrix
-H[i][j] = m_{i+j} is positive semidefinite.  A ``MomentVector`` decides
-that once, when built, from the seven principal minors of H (Curto &
-Fialkow 1991) of the standardized vector m_j / s^j, s = m4^(1/4), the
-moments of X / s; ``feasibility`` reports the decisive minor with its
+H[i][j] = m_{i+j} is positive semidefinite, that is, that the covariance
+matrix of (X, X^2) is (see ``covariance``).  A ``MomentVector`` decides
+that once, when built, on the standardized vector m_j / s^j, s = m4^(1/4),
+the moments of X / s; ``feasibility`` reports the covariance with the
 margin over the tolerance.  Only ``hankel`` imports numpy.
 """
 
@@ -32,7 +32,6 @@ __all__ = [
     "moments_from_samples",
     "abs_third_moment",
     "hankel",
-    "hankel_det",
     "hankel_det_closed_form",
     "psd_verdict",
     "feasibility",
@@ -42,7 +41,7 @@ __all__ = [
 #: Weights must sum to 1 within this before renormalization.
 WEIGHT_SUM_TOL = 1e-12
 
-#: Default tolerance for PSD verdicts, on the standardized principal minors.
+#: Default tolerance for PSD verdicts, on the standardized covariance.
 DEFAULT_PSD_TOL = 1e-10
 
 
@@ -85,38 +84,48 @@ def standardize(m1, m2, m3, m4):
     return s, (m1 * z, m2 * z * z, m3 * z * z * z, m4 * z * z * z * z)
 
 
-def principal_minors(m1, m2, m3, m4):
-    """The seven principal minors of H, in the order
-    1, m2, m4, m2 - m1^2, m4 - m2^2, m2 m4 - m3^2, det H; floats or arrays.
-    det H is the explicit polynomial (m0 = 1), sharing the 2x2 minors'
-    products: products only, so floats and arrays round alike and nothing
-    raises OverflowError."""
-    m11, m22, m33, m24 = m1 * m1, m2 * m2, m3 * m3, m2 * m4
-    det = m24 - m22 * m2 - m11 * m4 + 2.0 * m1 * m2 * m3 - m33
-    return (1.0, m2, m4, m2 - m11, m4 - m22, m24 - m33, det)
+def covariance(m1, m2, m3, m4):
+    """(a, b, c) = (Var X, Var X^2, Cov(X, X^2)) = (m2 - m1^2, m4 - m2^2, m3 - m1 m2),
+    the Schur complement of H's corner m0 = 1: det H = a b - c^2, and H is
+    PSD iff a >= 0, b >= 0 and |c| <= ``cov_radius(a, b)`` (the covariance
+    inequality behind the sqrt bound).  Products only, so floats and arrays
+    round alike and nothing raises OverflowError."""
+    return m2 - m1 * m1, m4 - m2 * m2, m3 - m1 * m2
+
+
+def cov_radius(a, b):
+    """sqrt(max(a, 0) max(b, 0)), the largest |c| that a and b allow; floats or arrays."""
+    return root(floor_at(a, 0.0) * floor_at(b, 0.0))
+
+
+def cov_margin(unit, cov):
+    """cov_radius(a, b) - |c| of a standardized vector and its covariance, with a
+    and b raised by their rounding error, 8 ulps of the terms they subtract: the
+    law on -0.5 - 1e-9 and 0.5 - 1e-9 has b = 1.6e-17 and |c| = 4e-9, but its b
+    rounds to 1 - 1 = 0.  Floats or arrays."""
+    (a1, a2, _, a4), (a, b, c) = unit, cov
+    e = 8.0 * sys.float_info.epsilon
+    return cov_radius(a + e * (a2 + a1 * a1), b + e * (a4 + a2 * a2)) - abs(c)
 
 
 def psd_verdict(a1, a2, a3, a4, tol: float = DEFAULT_PSD_TOL):
-    """(psd, minors): H is PSD iff every principal minor is nonnegative.
+    """(psd, (a, b, c)): H is PSD iff its ``covariance`` is.
 
-    Takes the standardized vector (see ``standardize``) and requires each
-    of its principal minors to be at least -tol.  m4 = 0 forces X = 0 up
+    Takes the standardized vector (see ``standardize``) and requires a, b
+    and ``cov_margin`` to be at least -tol.  m4 = 0 forces X = 0 up
     to underflow (an atom at 1e-90 has m4 = 0 and m1 = 1e-90); there the
-    standardization leaves the vector unscaled and its minors are held to
+    standardization leaves the vector unscaled and its covariance is held to
     the same -tol.  Floats or arrays of equal shape.
     """
-    minors = principal_minors(a1, a2, a3, a4)
-    psd = minors[1] >= -tol
-    for d in minors[2:]:
-        psd = psd & (d >= -tol)
-    return psd, minors
+    a, b, _ = cov = covariance(a1, a2, a3, a4)
+    return (a >= -tol) & (b >= -tol) & (cov_margin((a1, a2, a3, a4), cov) >= -tol), cov
 
 
 def psd_tol(m4: float) -> float:
-    """The PSD tolerance on the standardized minors, for ``MomentVector`` and
-    ``m3_interval``: DEFAULT_PSD_TOL, widened by m4's own rounding error
+    """The PSD tolerance on the standardized covariance, for ``MomentVector``
+    and ``m3_interval``: DEFAULT_PSD_TOL, widened by m4's own rounding error
     4 * 2^-1074 / m4 when m4 is subnormal (a point mass at 6.89e-81 has
-    m4 = 2.25e-321, good to ~3 digits, and minors near -5e-4)."""
+    m4 = 2.25e-321, good to ~3 digits, and Var X^2 near -5e-4)."""
     if 0.0 < m4 < sys.float_info.min:
         return DEFAULT_PSD_TOL + 4.0 * math.ulp(0.0) / m4
     return DEFAULT_PSD_TOL
@@ -131,7 +140,7 @@ class MomentVector(namedtuple("MomentVector", "m0 m1 m2 m3 m4")):
     """Raw moments (m0, m1, m2, m3, m4) with m0 = 1.
 
     ``s`` and ``unit`` are the standardization ``standardize(m1, m2, m3, m4)``,
-    and ``psd`` and ``minors`` the verdict ``psd_verdict(*unit, psd_tol(m4))``
+    and ``psd`` and ``cov`` the verdict ``psd_verdict(*unit, psd_tol(m4))``
     on it, all computed once here: every other layer reads them.  They are
     attributes in the instance dict, not fields: the tuple holds the five
     moments.  Like the fields, they cannot be assigned or deleted.
@@ -146,8 +155,8 @@ class MomentVector(namedtuple("MomentVector", "m0 m1 m2 m3 m4")):
             raise InfeasibleMomentsError("even moments must be nonnegative")
         self = super().__new__(cls, 1.0, m1, m2, m3, m4)
         s, unit = standardize(m1, m2, m3, m4)
-        psd, minors = psd_verdict(*unit, psd_tol(m4))
-        vars(self).update(s=s, unit=unit, psd=psd, minors=minors)
+        psd, cov = psd_verdict(*unit, psd_tol(m4))
+        vars(self).update(s=s, unit=unit, psd=psd, cov=cov)
         return self
 
     _make = classmethod(_validated_make)
@@ -268,24 +277,18 @@ def hankel(mv: MomentVector) -> HankelMatrix:
     return HankelMatrix(np.array([[m[0], m[1], m[2]], [m[1], m[2], m[3]], [m[2], m[3], m[4]]]))
 
 
-def hankel_det(m1, m2, m3, m4):
-    """det H as the explicit polynomial in m1..m4 (m0 = 1), the last of
-    ``principal_minors``; floats or arrays."""
-    return principal_minors(m1, m2, m3, m4)[-1]
-
-
 def hankel_det_closed_form(mv: MomentVector) -> float:
-    """det H as the explicit polynomial in m1..m4 (valid for m0 = 1)."""
-    return hankel_det(mv.m1, mv.m2, mv.m3, mv.m4)
+    """det H = a b - c^2 from the raw ``covariance`` (valid for m0 = 1)."""
+    a, b, c = covariance(mv.m1, mv.m2, mv.m3, mv.m4)
+    return a * b - c * c
 
 
-class FeasibilityReport(namedtuple("FeasibilityReport", "psd scale minors decisive_minor margin")):
+class FeasibilityReport(namedtuple("FeasibilityReport", "psd scale covariance margin")):
     """PSD verdict on the Hankel matrix of a moment vector, and how it was reached.
 
-    ``scale`` is the standardization scale s = m4^(1/4), ``minors`` the
-    seven standardized principal minors (see ``principal_minors``; the
-    last is the standardized det H), ``decisive_minor`` the smallest minor
-    and ``margin`` its excess over -``psd_tol(m4)``: psd iff margin >= 0.
+    ``scale`` is the standardization scale s = m4^(1/4), ``covariance`` the
+    (a, b, c) of X / s (see ``covariance``) and ``margin`` the least of a, b
+    and ``cov_margin``, plus ``psd_tol(m4)``: psd iff margin >= 0.
     PSD-ness is a necessary condition for a representing distribution to
     exist; sufficiency (rank conditions of the truncated moment problem)
     is not certified here.
@@ -297,12 +300,11 @@ class FeasibilityReport(namedtuple("FeasibilityReport", "psd scale minors decisi
 def feasibility(mv: MomentVector) -> FeasibilityReport:
     """Check whether the Hankel matrix of ``mv`` is positive semidefinite.
 
-    Packages the verdict ``mv`` reached when it was built: ``True`` iff
-    every standardized principal minor is at least -``psd_tol(mv.m4)``.
-    Infeasibility is reported, never raised.
+    Packages the verdict ``mv`` reached when it was built (see
+    ``psd_verdict``).  Infeasibility is reported, never raised.
     """
-    decisive = min(mv.minors)
-    return FeasibilityReport(mv.psd, mv.s, mv.minors, decisive, decisive + psd_tol(mv.m4))
+    a, b, _ = mv.cov
+    return FeasibilityReport(mv.psd, mv.s, mv.cov, min(a, b, cov_margin(mv.unit, mv.cov)) + psd_tol(mv.m4))
 
 
 def scale_moments(mv: MomentVector, lam: float) -> MomentVector:

@@ -20,13 +20,14 @@ from collections import namedtuple
 import numpy as np
 
 from . import _ORACLE_NAMES
-from .bounds import MomentInterval, interval_ends, quarter_bound, sqrt_bound
+from .bounds import quarter_bound, sqrt_bound
 from .moments import (
     CertificateError,
     DiscreteDistribution,
     InfeasibleMomentsError,
     MomentVector,
     _validated_make,
+    cov_radius,
     moments_from_discrete,
     psd_verdict,
     standardize,
@@ -502,18 +503,19 @@ def _evaluate(m1, m2, m3, m4):
 
     The moments are standardized once, and the verdicts come from the
     formula helpers on the same standardized arguments the scalar API
-    gives them, so the falsifier tests the shipped arithmetic.  Margins
-    and the cut FALSIFIER_TOL are in units of s^3.
+    gives them, so the falsifier tests the shipped arithmetic; the PSD flag
+    and the m3 interval's margins read one covariance.  Margins and the cut
+    FALSIFIER_TOL are in units of s^3.
     """
     _, (a1, a2, a3, a4) = standardize(m1, m2, m3, m4)
-    psd = psd_verdict(a1, a2, a3, a4)[0]
+    psd, (a, b, _) = psd_verdict(a1, a2, a3, a4)
+    r, center = cov_radius(a, b), a1 * a2
+    inside = np.minimum(a3 - (center - r), center + r - a3)
     slack_sqrt = sqrt_bound(a2, a4)[0] - a3
     slack_quarter = quarter_bound(a4) - a3
-    lo, hi, _, _ = interval_ends(a1, a2, a4)
-    margin = np.minimum.reduce([slack_sqrt, slack_quarter, a3 - lo, hi - a3])
+    margin = np.minimum.reduce([slack_sqrt, slack_quarter, inside])
     tol = FALSIFIER_TOL
-    outside = ~MomentInterval(lo, hi).contains(a3, tol)
-    return margin, np.stack([slack_sqrt < -tol, slack_quarter < -tol, outside, ~psd])
+    return margin, np.stack([slack_sqrt < -tol, slack_quarter < -tol, inside < -tol, ~psd])
 
 
 def _chunk(rng: np.random.Generator, work: tuple[np.ndarray, np.ndarray], size: int):

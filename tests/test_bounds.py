@@ -136,7 +136,7 @@ class TestM3Interval:
             m3_interval(0.0, 2.0, 1.0)
 
     def test_infeasible_exactly_when_the_psd_verdict_fails_the_variances(self):
-        # minors 3 and 4 of the moment vector are Var X and Var X^2 of X / s
+        # a and b of the moment vector's covariance are Var X and Var X^2 of X / s
         rng = np.random.default_rng(21)
         raised = 0
         for _ in range(2000):
@@ -144,8 +144,8 @@ class TestM3Interval:
             m1 = lam * rng.uniform(-1.0, 1.0)
             m2 = (m1 * m1 + lam * lam * rng.choice([0.0, 1.0])) * (1.0 + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-12.0, -8.0))
             m4 = m2 * m2 * (1.0 + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-12.0, -8.0))
-            minors = MomentVector(1.0, m1, m2, 0.0, m4).minors
-            infeasible = minors[3] < -DEFAULT_PSD_TOL or minors[4] < -DEFAULT_PSD_TOL
+            a, b, _ = MomentVector(1.0, m1, m2, 0.0, m4).cov
+            infeasible = a < -DEFAULT_PSD_TOL or b < -DEFAULT_PSD_TOL
             try:
                 m3_interval(m1, m2, m4)
             except InfeasibleMomentsError:
@@ -334,7 +334,8 @@ class TestTwoPointRecovery:
 
     @pytest.mark.parametrize("m2", [1e-20, 1e-320])
     def test_small_slack_without_an_attaining_law_is_not_tight(self, m2):
-        mv = MomentVector(1, 0, m2, 5e-9, 1)
+        # m3 = 5e-11 lies within sqrt(m2 (m4 - m2^2)) + 1e-10 of 0: PSD
+        mv = MomentVector(1, 0, m2, 5e-11, 1)
         assert mv.psd
         res = bound_sqrt(mv)
         assert abs(res.scaled_slack) <= 1e-8
@@ -345,7 +346,8 @@ class TestTwoPointRecovery:
     def test_singular_without_positive_variance_rejected(self):
         # PSD only within tolerance: Var X / s^2 = -1e-12, but Var X^2 / s^4 ~ 0.94
         mv = MomentVector(1, 0.5, 0.25 - 1e-12, 0.125 - 1e-12, 1)
-        assert mv.psd and abs(mv.minors[-1]) <= 1e-8
+        a, b, c = mv.cov
+        assert mv.psd and abs(a * b - c * c) <= 1e-8
         with pytest.raises(InfeasibleMomentsError, match="positive variance"):
             certificate_from_hankel(mv)
 
@@ -428,13 +430,13 @@ class TestScaleFreeVerdicts:
 
 
 def test_one_psd_decision_per_moment_vector(monkeypatch):
-    calls, principal_minors = [], moments.principal_minors
+    calls, covariance = [], moments.covariance
 
     def counting(*args):
         calls.append(args)
-        return principal_minors(*args)
+        return covariance(*args)
 
-    monkeypatch.setattr(moments, "principal_minors", counting)
+    monkeypatch.setattr(moments, "covariance", counting)
     mv = MomentVector(1, 0, 2, 2, 6)
     feasibility(mv), bound_sqrt(mv), bound_quarter(mv), certificate_from_hankel(mv)
     assert len(calls) == 1

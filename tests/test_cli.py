@@ -32,7 +32,8 @@ class TestMomentsCommand:
         code, report, _ = run(capsys, "moments", path)
         assert code == 0
         assert report["moments"] == {"m0": 1.0, "m1": 0.0, "m2": 1.0, "m3": 0.0, "m4": 1.0}
-        assert report["feasibility"]["minors"][-1] == 0.0
+        a, b, c = report["feasibility"]["covariance"]
+        assert a * b - c * c == 0.0  # standardized det H: a two-point law
         assert report["feasibility"]["psd"] is True
         assert report["version"]
 
@@ -72,18 +73,18 @@ class TestMomentsCommand:
         assert err.count("\n") == 1 and "nested too deeply" in err
 
     def test_law_at_scale_1e60(self, capsys):
-        # det H of this law is of order 1e360; the report carries only standardized minors
+        # det H of this law is of order 1e360; the report carries only the standardized covariance
         code, report, err = run(capsys, "moments", "--samples", "1e60", "-1e60", "0")
         assert code == 0 and err == ""
         assert report["feasibility"]["psd"] is True
         assert report["feasibility"]["scale"] == pytest.approx((2.0 / 3.0) ** 0.25 * 1e60, rel=1e-12)
 
-    def test_reports_standardized_minors(self, capsys):
+    def test_reports_standardized_covariance(self, capsys):
         code, report, _ = run(capsys, "moments", "--samples", "-1", "1")
         feas = report["feasibility"]
         assert feas["scale"] == 1.0
-        assert feas["minors"] == [1.0, 1.0, 1.0, 1.0, 0.0, 1.0, 0.0]
-        assert feas["decisive_minor"] == 0.0 and feas["margin"] == 1e-10
+        assert feas["covariance"] == [1.0, 0.0, 0.0]  # Var X, Var X^2, Cov(X, X^2)
+        assert feas["margin"] == 1e-10
         assert "min_eigenvalue" not in feas
 
     def test_unknown_keys_rejected(self, tmp_path, capsys):
@@ -177,22 +178,31 @@ class TestBoundCommand:
 
     @pytest.mark.parametrize("m2", ["1e-20", "1e-320"])
     def test_tiny_variance_is_not_tight(self, capsys, m2):
-        # |slack| / s^3 = 5e-9 is within the tolerance, but no two-point law
-        # has these moments: the zero-mean one with this m2 and m3 has
-        # m4 = 2500 (m2 = 1e-20), or an atom beyond double range (1e-320)
-        code, report, err = run(capsys, "bound", "--moments", "1", "0", m2, "5e-9", "1")
+        # PSD, and |slack| / s^3 = 5e-11 is within the tolerance, but no
+        # two-point law has these moments: the zero-mean one with this m2 and
+        # m3 has m4 = 0.25 (m2 = 1e-20), or an atom beyond double range (1e-320)
+        code, report, err = run(capsys, "bound", "--moments", "1", "0", m2, "5e-11", "1")
         assert (code, err) == (0, "")
         for res in report["bounds"].values():
             assert res.get("tight") is not True and "witness" not in res
         assert abs(report["bounds"]["sqrt"]["scaled_slack"]) <= 1e-8
         assert "certificate" not in report
 
+    @pytest.mark.parametrize("lam", [1e-6, 1.0, 1e6])
+    def test_m3_outside_its_interval_exits_3(self, capsys, lam):
+        # Var X / s^2 = 1e-320 allows |m3| / s^3 up to 1e-160 (+ the PSD
+        # tolerance 1e-10), not 5e-9; lam = 1e-6 underflows m2 to 0
+        argv = [repr(m * lam**j) for j, m in enumerate((1.0, 0.0, 1e-320, 5e-9, 1.0))]
+        code, report, err = run(capsys, "bound", "--moments", *argv)
+        assert (code, report) == (3, None) and "not a moment sequence" in err
+
     def test_report_shows_margins(self, capsys):
         code, report, _ = run(capsys, "bound", "--moments", "1", "0", "1", "0", "2")
         feas = report["feasibility"]
         assert feas["psd"] is True and feas["scale"] == pytest.approx(2.0**0.25)
-        assert feas["decisive_minor"] == min(feas["minors"]) == pytest.approx(2.0**-1.5)
-        assert feas["margin"] == pytest.approx(feas["decisive_minor"] + 1e-10)
+        # X / s: Var X = 2^(-1/2), Var X^2 = 1/2 and Cov(X, X^2) = 0; the least is 1/2
+        assert feas["covariance"] == pytest.approx([2.0**-0.5, 0.5, 0.0])
+        assert feas["margin"] == pytest.approx(0.5 + 1e-10)
         sqrt = report["bounds"]["sqrt"]
         assert sqrt["scaled_slack"] == pytest.approx(sqrt["slack"] / 2.0**0.75)
         assert sqrt["tight"] is False
@@ -469,13 +479,14 @@ def test_bound_standardizes_twice(capsys, monkeypatch):
 
 
 def test_bound_decides_psd_once(capsys, monkeypatch):
-    calls, principal_minors = [], moments.principal_minors
+    # m3_interval takes raw floats and computes its own variances in ``bounds``
+    calls, covariance = [], moments.covariance
 
     def counting(*args):
         calls.append(args)
-        return principal_minors(*args)
+        return covariance(*args)
 
-    monkeypatch.setattr(moments, "principal_minors", counting)
+    monkeypatch.setattr(moments, "covariance", counting)
     code, report, _ = run(capsys, "bound", "--moments", "1", "0", "2", "2", "6")
     assert code == 0 and "certificate" in report
     assert len(calls) == 1
@@ -497,7 +508,7 @@ def keys(prefix, *names):
 HEAD = {"tool", "version", "command", "input"}
 ATOMS = ("[].x", "[].p")
 MOMENTS = keys("moments", "m0", "m1", "m2", "m3", "m4")
-FEASIBILITY = keys("feasibility", "psd", "scale", "minors", "decisive_minor", "margin")
+FEASIBILITY = keys("feasibility", "psd", "scale", "covariance", "margin")
 BOUND = ("bound", "slack", "scaled_slack", "tight")
 BOUND_HEAD = HEAD | MOMENTS | FEASIBILITY | {"input.moments", "tolerance"} | keys("interval", "lo", "hi")
 SHARP = keys("bounds", "trivial", "trivial.bound", "sqrt", "quarter") | keys("bounds.sqrt", *BOUND) | keys("bounds.quarter", *BOUND)
@@ -607,7 +618,7 @@ def test_closed_stdout_exits_5_without_traceback():
     os.close(read)  # every write to the pipe now fails
     try:
         proc = subprocess.run(
-            [sys.executable, "-m", "momentbounds.cli", "bound", "--moments", "1", "0", "1e-20", "5e-9", "1"],
+            [sys.executable, "-m", "momentbounds.cli", "bound", "--moments", "1", "0", "1e-20", "5e-11", "1"],
             stdout=write,
             stderr=subprocess.PIPE,
             text=True,
@@ -630,3 +641,35 @@ def test_scalar_subcommands_import_no_numpy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "ok"
+
+
+#: Runs the CLI with numpy's import blocked, as on a system without numpy.
+NO_NUMPY = "import sys; sys.modules['numpy'] = None; from momentbounds.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["interval", "0", "1", "2"], 0),
+        (["bound", "--moments", "1", "0", "2", "2", "6"], 0),
+        (["extremal", "1"], 0),
+        (["moments", "--samples", "1", "2", "3"], 0),
+        (["verify", "--trials", "10"], 2),
+    ],
+    ids=["interval", "bound", "extremal", "moments", "verify"],
+)
+def test_without_numpy_only_verify_is_refused(argv, code):
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_NUMPY, *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        timeout=120,
+    )
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    if code:
+        assert proc.stdout == "" and proc.stderr.count("\n") == 1
+        assert "verify needs numpy" in proc.stderr and "pip install numpy" in proc.stderr
+    else:
+        assert proc.stderr == "" and json.loads(proc.stdout)["command"] == argv[0]

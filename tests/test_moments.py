@@ -18,7 +18,7 @@ from momentbounds import (
     quarter_bound,
     scale_moments,
 )
-from momentbounds.moments import floor_at, hankel_det, principal_minors, psd_tol, root, standardize
+from momentbounds.moments import cov_radius, covariance, floor_at, psd_tol, root, standardize
 
 
 def tol_scale(mv):
@@ -175,18 +175,19 @@ class TestFeasibility:
     def test_rademacher_boundary(self):
         rep = feasibility(MomentVector(1, 0, 1, 0, 1))
         assert rep.psd
-        assert rep.minors[-1] == pytest.approx(0.0, abs=1e-14)
+        assert rep.covariance == (1.0, 0.0, 0.0)  # Var X^2 = 0: singular
 
     def test_infeasible_vector(self):
         rep = feasibility(MomentVector(1, 0, 1, 0, 0.5))
         assert not rep.psd
-        # det H = -1/2 = s^6 times the standardized det, s = 2^(-1/4)
-        assert rep.minors[-1] == pytest.approx(-(2.0**0.5))
+        # det H = -1/2 = s^6 times the standardized det a b - c^2, s = 2^(-1/4)
+        a, b, c = rep.covariance
+        assert a * b - c * c == pytest.approx(-(2.0**0.5))
 
     def test_point_mass(self):
         rep = feasibility(MomentVector(1, 0, 0, 0, 0))
         assert rep.psd
-        assert rep.minors[-1] == 0.0
+        assert rep.covariance == (0.0, 0.0, 0.0)
 
     def test_det_matches_numeric(self):
         rng = np.random.default_rng(7)
@@ -205,16 +206,16 @@ class TestFeasibility:
             mv = moments_from_discrete(dist((-u, v / s), (v, u / s)))
             assert abs(hankel_det_closed_form(mv)) <= 1e-12 * tol_scale(mv)
 
-    def test_reports_standardized_minors_and_margin(self):
-        # (1, 0, 1, 0, 2): s = 2^(1/4), standardized (0, 2^(-1/2), 0, 1); the
-        # decisive minor is det = 2^(-1/2) - 2^(-3/2) = 2^(-3/2)
+    def test_reports_standardized_covariance_and_margin(self):
+        # (1, 0, 1, 0, 2): s = 2^(1/4), standardized (0, 2^(-1/2), 0, 1), so
+        # Var X = 2^(-1/2), Var X^2 = 1/2, Cov(X, X^2) = 0 and sqrt(ab) = 2^(-3/4):
+        # the least of a, b and sqrt(ab) - |c| is 1/2
         rep = feasibility(MomentVector(1, 0, 1, 0, 2))
         assert rep.scale == pytest.approx(2.0**0.25)
-        assert len(rep.minors) == 7
-        assert rep.decisive_minor == min(rep.minors) == rep.minors[-1]
-        assert rep.decisive_minor == pytest.approx(2.0**-1.5)
-        assert rep.margin == rep.decisive_minor + 1e-10
-        assert rep.minors[-1] * rep.scale**6 == pytest.approx(1.0)
+        a, b, c = rep.covariance
+        assert (a, b, c) == pytest.approx((2.0**-0.5, 0.5, 0.0))
+        assert rep.margin == min(a, b, cov_radius(a, b) - abs(c)) + 1e-10 == pytest.approx(0.5 + 1e-10)
+        assert (a * b - c * c) * rep.scale**6 == pytest.approx(1.0)  # det H
 
     def test_non_leading_minor_decides(self):
         # leading minors 1, 0, 0 are nonnegative, but m4 - m2^2 = -1/2 is not:
@@ -223,6 +224,29 @@ class TestFeasibility:
         assert hankel_det_closed_form(mv) == 0.0
         assert np.linalg.eigvalsh(hankel(mv).entries)[0] < 0.0
         assert not feasibility(mv).psd
+        assert feasibility(mv).covariance[1] == pytest.approx(-1.0)  # Var X^2 of X / s: 1 - m2^2 / m4
+
+    def test_variance_rounded_to_zero_keeps_a_real_law_feasible(self):
+        # on -0.5 - 1e-9 and 0.5 - 1e-9, Var X^2 / s^4 = 1.6e-17 allows
+        # |Cov(X, X^2)| / s^3 = 4e-9, but b = 1 - 1 rounds to 0
+        mv = moments_from_discrete(dist((-0.500000001, 0.5), (0.49999999900000003, 0.5)))
+        a, b, c = mv.cov
+        assert b == 0.0 and abs(c) > 10.0 * psd_tol(mv.m4)
+        assert mv.psd and feasibility(mv).margin >= 0.0
+        rng = np.random.default_rng(16)
+        for _ in range(2000):  # near-symmetric two-point laws at any scale
+            x = 10.0 ** rng.uniform(-30.0, 30.0)
+            skew, p = 10.0 ** rng.uniform(-14.0, -4.0), rng.uniform(0.01, 0.99)
+            law = dist((-x - skew * x, p), (x - skew * x, 1.0 - p))
+            assert moments_from_discrete(law).psd, law
+
+    @pytest.mark.parametrize("lam", [1e-6, 1.0, 1e6])
+    def test_exact_tiny_variance_admits_no_large_covariance(self, lam):
+        # Var X / s^2 = 1e-320 carries no rounding error: |m3| / s^3 may reach
+        # 1e-160 plus the tolerance, not 5e-9 (m2 underflows to 0 at lam = 1e-6)
+        mv = scale_moments(MomentVector(1, 0, 1e-320, 5e-9, 1), lam)
+        rep = feasibility(mv)
+        assert not mv.psd and rep.margin == pytest.approx(-5e-9 + 1e-10)
 
     def test_agrees_with_eigenvalues(self):
         rng = np.random.default_rng(11)
@@ -240,12 +264,12 @@ class TestFeasibility:
         m1, m3 = rng.uniform(-1.0, 1.0, size=(2, 300))
         m2, m4 = rng.uniform(0.0, 1.0, size=(2, 300))
         s, std = standardize(m1, m2, m3, m4)
-        psd, minors = psd_verdict(*std)
+        psd, cov = psd_verdict(*std)
         for k in range(300):
             rep = feasibility(MomentVector(1.0, *(float(m[k]) for m in (m1, m2, m3, m4))))
             assert psd[k] == rep.psd
             assert s[k] == rep.scale
-            assert [float(d if np.isscalar(d) else d[k]) for d in minors] == list(rep.minors)
+            assert [float(d[k]) for d in cov] == list(rep.covariance)
 
     def test_verdict_invariant_under_scaling(self):
         for mv in (MomentVector(1, 0, 1, 0, 1), MomentVector(1, 0, 2, 2, 6), MomentVector(1, 0, 1, 0, 0.99)):
@@ -253,13 +277,14 @@ class TestFeasibility:
             for lam in 10.0 ** np.arange(-6.0, 7.0):
                 rep = feasibility(scale_moments(mv, float(lam)))
                 assert rep.psd == base.psd
-                assert rep.decisive_minor == pytest.approx(base.decisive_minor, abs=1e-13)
+                assert rep.covariance == pytest.approx(base.covariance, abs=1e-13)
+                assert rep.margin == pytest.approx(base.margin, abs=1e-13)
 
     def test_verdict_is_reached_at_construction(self):
         for mv in (MomentVector(1, 0, 1, 0, 2), MomentVector(1, 0, 1, 0, 0.5), MomentVector(1, 0, 0, 0, 0)):
-            assert (mv.psd, mv.minors) == psd_verdict(*mv.unit)
+            assert (mv.psd, mv.cov) == psd_verdict(*mv.unit)
             rep = feasibility(mv)
-            assert (rep.psd, rep.minors) == (mv.psd, mv.minors)
+            assert (rep.psd, rep.covariance) == (mv.psd, mv.cov)
 
     @pytest.mark.parametrize("x", [1e-80, 6.89e-81, 6.8903119051009e-81, 3e-81, -3e-81])
     def test_point_mass_with_subnormal_m4_is_feasible(self, x):
@@ -269,7 +294,8 @@ class TestFeasibility:
         rep = feasibility(mv)
         assert rep.psd and rep.margin >= 0.0
         assert psd_tol(mv.m4) == 1e-10 + 4.0 * 2.0**-1074 / mv.m4
-        assert rep.margin == rep.decisive_minor + psd_tol(mv.m4)
+        a, b, c = rep.covariance
+        assert rep.margin == min(a, b, cov_radius(a, b) - abs(c)) + psd_tol(mv.m4)
 
     def test_subnormal_m4_forgives_only_its_rounding_error(self):
         rep = feasibility(MomentVector(1, 0, 1e-5, 0, 1e-310))
@@ -313,10 +339,9 @@ def reference_floor_at(v, lo):
     return v * (v > lo) + lo * (v <= lo)
 
 
-def reference_minors(m1, m2, m3, m4):
-    """``principal_minors`` with det H written out, before the shared products."""
-    det = m4 * m2 - m2 * m2 * m2 - m1 * m1 * m4 + 2.0 * m1 * m2 * m3 - m3 * m3
-    return (1.0, m2, m4, m2 - m1 * m1, m4 - m2 * m2, m2 * m4 - m3 * m3, det)
+def reference_covariance(m1, m2, m3, m4):
+    """``covariance`` written out as Var X, Var X^2 and Cov(X, X^2)."""
+    return m2 - m1**2, m4 - m2**2, m3 - m1 * m2
 
 
 class TestFormulaHelpers:
@@ -333,17 +358,19 @@ class TestFormulaHelpers:
             np.testing.assert_array_equal(got, want)
             np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
 
-    def test_principal_minors_keep_their_bits(self):
+    def test_covariance_floats_and_arrays_agree(self):
         rng = np.random.default_rng(15)
         m = rng.uniform(-1.0, 1.0, size=(4, 5000))
         m[1], m[3] = np.abs(m[1]), np.abs(m[3])  # m2, m4 >= 0
-        got, want = principal_minors(*m), reference_minors(*m)
-        for g, w in zip(got[1:], want[1:]):
+        got, want = covariance(*m), reference_covariance(*m)
+        for g, w in zip(got, want):
             np.testing.assert_array_equal(g, w)
-        for col in m.T[:200]:
+        radius = cov_radius(got[0], got[1])
+        for k, col in enumerate(m.T[:200]):
             args = [float(v) for v in col]
-            assert principal_minors(*args) == reference_minors(*args)
-            assert hankel_det(*args) == reference_minors(*args)[-1]
+            a, b, c = covariance(*args)
+            assert (a, b, c) == reference_covariance(*args) == tuple(float(g[k]) for g in got)
+            assert cov_radius(a, b) == radius[k] == math.sqrt(max(a, 0.0) * max(b, 0.0))
 
 
 class TestScaleMoments:

@@ -2,14 +2,18 @@
 
 import math
 
-from hypothesis import example, given, settings
+import pytest
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from momentbounds import (
     DiscreteDistribution,
+    InfeasibleMomentsError,
+    MomentVector,
     abs_third_moment,
     bound_quarter,
     bound_sqrt,
+    certificate_from_hankel,
     feasibility,
     hankel,
     hankel_det_closed_form,
@@ -17,6 +21,7 @@ from momentbounds import (
     moments_from_discrete,
     scale_moments,
 )
+from momentbounds.moments import psd_tol
 
 
 def tol_scale(mv):
@@ -96,3 +101,64 @@ def test_scale_covariance(d, lam):
     expected = scale_moments(mv, lam)
     for a, b in zip(expected.as_tuple(), scaled_atoms.as_tuple()):
         assert abs(a - b) <= 1e-12 * max(1.0, abs(a))
+
+
+@st.composite
+def moment_vectors(draw):
+    """Moment vectors at scales 1e-6..1e6 with Var X = a, Var X^2 = b and
+    m3 = m1 m2 + t sqrt(|a b|): |a| and |b| are 1e-6..1, negative for about
+    half of the draws, so PSD or not by far more than the tolerance, and m3
+    is inside the interval for |t| <= 1.  m4 stays away from 0, where the
+    vector is left unscaled (X = 0 up to underflow)."""
+    lam = 10.0 ** draw(st.floats(-6.0, 6.0))
+    a, b = (draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-6.0, 0.0)) for _ in range(2))
+    m1 = draw(st.floats(-1.0, 1.0))
+    m2 = a + m1 * m1
+    m4 = b + m2 * m2
+    assume(m2 >= 0.0 and m4 >= 1e-12)
+    m3 = m1 * m2 + draw(st.one_of(st.sampled_from([-1.0, 1.0]), st.floats(-2.0, 2.0))) * math.sqrt(abs(a * b))
+    return MomentVector(1.0, m1 * lam, m2 * lam**2, m3 * lam**3, m4 * lam**4)
+
+
+def certifies(mv):
+    try:
+        certificate_from_hankel(mv)
+    except InfeasibleMomentsError:
+        return False
+    return True
+
+
+@given(moment_vectors())
+@example(MomentVector(1.0, 0.0, 1e-320, 5e-9, 1.0))  # m3 far outside its interval of +-1e-160
+def test_psd_iff_variances_and_m3_interval(mv):
+    # PSD iff Var X and Var X^2 of X / s are at least -tol and m3 lies in
+    # m3_interval widened by tol s^3; a band of 1e-11 s^3 around the widened
+    # ends is left out, where rounding of the variances may decide
+    tol, s3 = psd_tol(mv.m4), mv.s**3
+    u1, u2, _, u4 = mv.unit
+    variances = u2 - u1 * u1 >= -tol and u4 - u2 * u2 >= -tol
+    try:
+        iv = m3_interval(mv.m1, mv.m2, mv.m4)
+    except InfeasibleMomentsError:
+        assert not variances
+        assert not mv.psd
+        return
+    assert variances
+    inside = min(mv.m3 - iv.lo, iv.hi - mv.m3) / s3 + tol
+    assume(abs(inside) > 1e-11)
+    assert iv.contains(mv.m3, tol * s3) == (inside > 0.0)
+    assert mv.psd == (inside > 0.0)
+    assert (feasibility(mv).margin >= 0.0) == mv.psd
+
+
+@given(moment_vectors(), st.floats(-6.0, 6.0))
+@example(MomentVector(1.0, 0.0, 1e-320, 5e-9, 1.0), 6.0)
+@example(MomentVector(1.0, 0.0, 1e-320, 5e-9, 1.0), -6.0)
+def test_psd_margin_and_certificate_are_scale_free(mv, exponent):
+    scaled = scale_moments(mv, 10.0**exponent)
+    base, rep = feasibility(mv), feasibility(scaled)
+    assume(abs(base.margin) > 1e-11)
+    assert rep.psd == base.psd == mv.psd == scaled.psd
+    assert (rep.margin >= 0.0) == (base.margin >= 0.0)
+    assert rep.margin == pytest.approx(base.margin, rel=1e-6, abs=1e-12)
+    assert certifies(scaled) == certifies(mv)

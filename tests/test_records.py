@@ -77,7 +77,7 @@ def test_every_record_type_is_covered():
 
 def test_moment_vector_computed_attributes_are_frozen():
     mv = MomentVector(1, 0, 2, 2, 6)
-    for name in ("s", "unit", "psd", "minors"):
+    for name in ("s", "unit", "psd", "cov"):
         value = getattr(mv, name)
         with pytest.raises(AttributeError):
             setattr(mv, name, value)
@@ -100,13 +100,13 @@ def test_moment_vector_is_a_tuple_of_the_five_moments():
 def test_copies_and_pickles_keep_the_computed_attributes():
     for twin in (copy.copy(MV), copy.deepcopy(MV), pickle.loads(pickle.dumps(MV))):
         assert twin == MV and type(twin) is MomentVector
-        assert (twin.s, twin.unit, twin.psd, twin.minors) == (MV.s, MV.unit, MV.psd, MV.minors)
+        assert (twin.s, twin.unit, twin.psd, twin.cov) == (MV.s, MV.unit, MV.psd, MV.cov)
 
 
 def test_replace_validates_and_recomputes():
     bigger, built = MV._replace(m4=16.0), MomentVector(1.0, 0, 2, 2, 16.0)
     assert bigger == built == (1.0, 0, 2, 2, 16.0)
-    assert (bigger.s, bigger.unit, bigger.psd, bigger.minors) == (built.s, built.unit, built.psd, built.minors)
+    assert (bigger.s, bigger.unit, bigger.psd, bigger.cov) == (built.s, built.unit, built.psd, built.cov)
     with pytest.raises(InfeasibleMomentsError):
         MV._replace(m2=-1.0)
     with pytest.raises(ValueError):
