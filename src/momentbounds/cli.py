@@ -137,7 +137,7 @@ def _dumps(report: dict[str, Any]) -> str:
 
 def cmd_moments(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
     if args.samples is not None:
-        # the empirical law, as ``moments_from_samples`` builds it
+        # the empirical law, built for abs_third_moment; moments_from_samples sums its terms without it
         dist = DiscreteDistribution.from_pairs((x, 1.0 / len(args.samples)) for x in args.samples)
         echo: Any = {"samples": list(args.samples)}
     else:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import sys
 from collections import namedtuple
+from operator import mul
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -232,16 +233,30 @@ def moments_from_discrete(dist: DiscreteDistribution) -> MomentVector:
 def moments_from_samples(samples: Sequence[float]) -> MomentVector:
     """Empirical raw moments m_j = (1/n) sum_i x_i^j.
 
-    Implemented as ``moments_from_discrete`` of the empirical distribution
-    (duplicate samples merged), so the two routes agree exactly.
+    The sums of ``moments_from_discrete`` on the empirical distribution, term
+    for term, without building it: the two routes agree exactly.
     """
     samples = list(samples)
     if not samples:
         raise ValueError("empty sample set")
-    if not all(math.isfinite(x) for x in samples):
+    if not all(map(math.isfinite, samples)):
         raise ValueError("non-finite sample")
-    n = len(samples)
-    return moments_from_discrete(DiscreteDistribution.from_pairs((x, 1.0 / n) for x in samples))
+    xs = list(map(float, samples))
+    p = 1.0 / len(xs)
+    ws = [p] * len(xs)
+    if len(set(xs)) < len(xs):  # merge as the law does: a value seen c times weighs 0.0 + p + ... + p
+        merged: dict[float, float] = {}
+        for x in xs:
+            merged[x] = merged.get(x, 0.0) + p
+        xs, ws = list(merged), list(merged.values())
+    total = math.fsum(ws)
+    t1 = list(map(mul, [w / total for w in ws], xs))
+    t2 = list(map(mul, t1, xs))
+    t3 = list(map(mul, t2, xs))
+    m4 = math.fsum(map(mul, t3, xs))
+    if m4 == math.inf:
+        raise OverflowError("the fourth moment is beyond double range")
+    return MomentVector(1.0, math.fsum(t1), math.fsum(t2), math.fsum(t3), m4)
 
 
 def abs_third_moment(dist: DiscreteDistribution) -> float:

@@ -59,6 +59,14 @@ class TestMomentsCommand:
         assert code == 0
         assert report["moments"]["m1"] == pytest.approx(2.0)
 
+    def test_samples_report_the_moments_of_moments_from_samples(self, capsys):
+        # the CLI sums its own empirical law; repeats and zeros of both signs are merged alike
+        argv = ["1", "2", "2", "-0.0", "0", "3.5"]
+        code, report, _ = run(capsys, "moments", "--samples", *argv)
+        assert code == 0
+        expected = moments.moments_from_samples([float(a) for a in argv])
+        assert [float.hex(report["moments"][f"m{j}"]) for j in range(5)] == list(map(float.hex, expected))
+
     def test_negative_exponent_samples(self, capsys):
         code, report, _ = run(capsys, "moments", "--samples", "-1e-05", "1", "-2E+00")
         assert code == 0

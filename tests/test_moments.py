@@ -138,6 +138,36 @@ class TestMomentsFromSamples:
         with pytest.raises(ValueError, match="non-finite sample"):
             moments_from_samples([1.0, math.inf])
 
+    @pytest.mark.parametrize(
+        "samples, error, message",
+        [
+            (["1.5"], TypeError, "must be real number, not str"),  # checked before float() could parse it
+            ([None], TypeError, "must be real number, not NoneType"),
+            ([1.0, math.nan], ValueError, "non-finite sample"),
+            ([math.inf, "1.5"], ValueError, "non-finite sample"),
+            ([-math.inf], ValueError, "non-finite sample"),
+            ([], ValueError, "empty sample set"),
+            ([10**400], OverflowError, "int too large to convert to float"),
+            # m3's terms overflow to -inf and +inf, which fsum would reject with ValueError
+            ([-1e200, 1e200], OverflowError, "the fourth moment is beyond double range"),
+            ([1e155, 1.0], OverflowError, "the fourth moment is beyond double range"),
+        ],
+        ids=["str", "none", "nan", "inf-before-str", "-inf", "empty", "huge-int", "pm-1e200", "1e155"],
+    )
+    def test_error_contract(self, samples, error, message):
+        with pytest.raises(error) as info:
+            moments_from_samples(samples)
+        assert info.type is error
+        assert str(info.value) == message
+
+    def test_accepts_a_generator(self):
+        assert moments_from_samples(x for x in (1.0, 2.0, 2.0)) == moments_from_samples([1.0, 2.0, 2.0])
+
+    def test_many_copies_of_one_value(self):
+        # 1e5 weights of 1e-5 summed one at a time miss 1 by more than the
+        # 1e-12 a DiscreteDistribution allows; the samples carry no weights
+        assert moments_from_samples([1.5] * 10**5) == (1.0, 1.5, 2.25, 3.375, 5.0625)
+
 
 class TestAbsThirdMoment:
     def test_examples(self):

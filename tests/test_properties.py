@@ -1,6 +1,8 @@
 """Property-based checks of the library invariants."""
 
 import math
+import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -19,6 +21,7 @@ from momentbounds import (
     hankel_det_closed_form,
     m3_interval,
     moments_from_discrete,
+    moments_from_samples,
     scale_moments,
 )
 from momentbounds.moments import psd_tol
@@ -162,3 +165,39 @@ def test_psd_margin_and_certificate_are_scale_free(mv, exponent):
     assert (rep.margin >= 0.0) == (base.margin >= 0.0)
     assert rep.margin == pytest.approx(base.margin, rel=1e-6, abs=1e-12)
     assert certifies(scaled) == certifies(mv)
+
+
+@st.composite
+def sample_sets(draw):
+    """1..500 samples at a scale in 1e-6..1e6: fresh floats, and repeats of a
+    pool that mixes floats, zeros of both signs, subnormals, ints, bools and
+    Fractions, in a drawn proportion."""
+    scale = 10.0 ** draw(st.floats(-6.0, 6.0))
+    value = st.one_of(
+        finite_x.map(lambda x: x * scale),
+        st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310]),
+        st.integers(-1000, 1000),
+        st.booleans(),
+        st.fractions(-10, 10, max_denominator=1000),
+    )
+    pool = draw(st.lists(value, min_size=1, max_size=20))
+    n, fresh = draw(st.integers(1, 500)), draw(st.floats(0.0, 1.0))
+    rnd = random.Random(draw(st.integers(0, 2**32)))
+    return [scale * rnd.uniform(-10.0, 10.0) if rnd.random() < fresh else rnd.choice(pool) for _ in range(n)]
+
+
+@given(sample_sets())
+@settings(max_examples=200, deadline=None)
+@example([-0.0, 0.0])
+@example([0.0, -0.0, 1.0])
+@example([5e-324] * 7)
+@example([True, 1, 1.0, Fraction(1), 2, 0.5])
+@example([k / 7.0 for k in range(1, 50)])  # 49 copies of 1/49 sum to 1 - 2^-53
+@example([1.5] * 6 + [3.0])  # 1/7 added six times is not 6 * (1/7)
+def test_sample_moments_are_those_of_the_empirical_law(xs):
+    # moments_from_samples builds no DiscreteDistribution; the law's moments pin it bit for bit
+    n = len(xs)
+    law = DiscreteDistribution.from_pairs((x, 1.0 / n) for x in xs)
+    direct, via_law = moments_from_samples(xs), moments_from_discrete(law)
+    assert direct.as_tuple() == via_law.as_tuple()
+    assert list(map(float.hex, direct)) == list(map(float.hex, via_law))
