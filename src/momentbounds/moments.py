@@ -196,7 +196,8 @@ class DiscreteDistribution(namedtuple("DiscreteDistribution", "atoms")):
         if not merged:
             raise ValueError("empty distribution")
         total = math.fsum(merged.values())
-        if abs(total - 1.0) > WEIGHT_SUM_TOL:
+        # c weights merged one at a time may round away from their sum: then the weights as given decide
+        if abs(total - 1.0) > WEIGHT_SUM_TOL and abs(math.fsum(float(p) for _, p in atoms) - 1.0) > WEIGHT_SUM_TOL:
             raise ValueError("weights do not sum to 1")
         return super().__new__(cls, tuple(sorted((x, p / total) for x, p in merged.items())))
 
@@ -241,16 +242,13 @@ def moments_from_samples(samples: Sequence[float]) -> MomentVector:
         raise ValueError("empty sample set")
     if not all(map(math.isfinite, samples)):
         raise ValueError("non-finite sample")
-    xs = list(map(float, samples))
-    p = 1.0 / len(xs)
-    ws = [p] * len(xs)
-    if len(set(xs)) < len(xs):  # merge as the law does: a value seen c times weighs 0.0 + p + ... + p
-        merged: dict[float, float] = {}
-        for x in xs:
-            merged[x] = merged.get(x, 0.0) + p
-        xs, ws = list(merged), list(merged.values())
-    total = math.fsum(ws)
-    t1 = list(map(mul, [w / total for w in ws], xs))
+    p = 1.0 / len(samples)
+    merged: dict[float, float] = {}
+    for x in map(float, samples):  # merged as the law merges: 0.0 + p + ... + p, the first of ±0.0 kept
+        merged[x] = merged.get(x, 0.0) + p
+    total = math.fsum(merged.values())
+    xs = list(merged)
+    t1 = list(map(mul, [w / total for w in merged.values()], xs))
     t2 = list(map(mul, t1, xs))
     t3 = list(map(mul, t2, xs))
     m4 = math.fsum(map(mul, t3, xs))

@@ -59,9 +59,11 @@ class TestMomentsCommand:
         assert code == 0
         assert report["moments"]["m1"] == pytest.approx(2.0)
 
-    def test_samples_report_the_moments_of_moments_from_samples(self, capsys):
+    @pytest.mark.parametrize(
+        "argv", [["1", "2", "2", "-0.0", "0", "3.5"], ["1.5"] * 10**5], ids=["repeats-and-zeros", "1e5-copies"]
+    )
+    def test_samples_report_the_moments_of_moments_from_samples(self, capsys, argv):
         # the CLI sums its own empirical law; repeats and zeros of both signs are merged alike
-        argv = ["1", "2", "2", "-0.0", "0", "3.5"]
         code, report, _ = run(capsys, "moments", "--samples", *argv)
         assert code == 0
         expected = moments.moments_from_samples([float(a) for a in argv])

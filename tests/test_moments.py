@@ -73,6 +73,12 @@ class TestDiscreteDistribution:
         with pytest.raises(ValueError, match="sum to 1"):
             dist((0.0, 0.8))
 
+    def test_merge_rounding_is_not_a_weight_error(self):
+        # the 1e5 given weights sum to 1.0 (fsum); merged one at a time they miss it by 1.9e-12
+        assert dist(*[(1.5, 1e-5)] * 10**5).atoms == ((1.5, 1.0),)
+        with pytest.raises(ValueError, match="sum to 1"):
+            dist(*[(1.5, 1e-5)] * (10**5 + 1))
+
     def test_rejects_negative_weight(self):
         with pytest.raises(ValueError, match="negative"):
             dist((0.0, 1.2), (1.0, -0.2))
@@ -164,9 +170,9 @@ class TestMomentsFromSamples:
         assert moments_from_samples(x for x in (1.0, 2.0, 2.0)) == moments_from_samples([1.0, 2.0, 2.0])
 
     def test_many_copies_of_one_value(self):
-        # 1e5 weights of 1e-5 summed one at a time miss 1 by more than the
-        # 1e-12 a DiscreteDistribution allows; the samples carry no weights
-        assert moments_from_samples([1.5] * 10**5) == (1.0, 1.5, 2.25, 3.375, 5.0625)
+        # 1e5 weights of 1e-5 merged one at a time miss 1 by more than 1e-12; both routes accept them
+        law = DiscreteDistribution.from_pairs([(1.5, 1e-5)] * 10**5)
+        assert moments_from_samples([1.5] * 10**5) == moments_from_discrete(law) == (1.0, 1.5, 2.25, 3.375, 5.0625)
 
 
 class TestAbsThirdMoment:

@@ -194,6 +194,7 @@ def sample_sets(draw):
 @example([True, 1, 1.0, Fraction(1), 2, 0.5])
 @example([k / 7.0 for k in range(1, 50)])  # 49 copies of 1/49 sum to 1 - 2^-53
 @example([1.5] * 6 + [3.0])  # 1/7 added six times is not 6 * (1/7)
+@example([1.0, 2.0, 2.0, -0.0, 0.0, 3.5])
 def test_sample_moments_are_those_of_the_empirical_law(xs):
     # moments_from_samples builds no DiscreteDistribution; the law's moments pin it bit for bit
     n = len(xs)
