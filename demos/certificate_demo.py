@@ -26,9 +26,8 @@ for x, p in secret.atoms:
 mv = moments_from_discrete(secret)
 print(f"\npublished moments: {mv.as_tuple()}")
 
-h = hankel(mv)
 print("\nHankel matrix:")
-print(np.array_str(h.entries, precision=6))
+print(np.array_str(np.array(hankel(mv)), precision=6))
 
 rep = feasibility(mv)
 var_x, var_x2, cov = rep.covariance

@@ -7,7 +7,7 @@ H[i][j] = m_{i+j} is positive semidefinite, that is, that the covariance
 matrix of (X, X^2) is (see ``covariance``).  A ``MomentVector`` decides
 that once, when built, on the standardized vector m_j / s^j, s = m4^(1/4),
 the moments of X / s; ``feasibility`` reports the covariance with the
-margin over the tolerance.  Only ``hankel`` imports numpy.
+margin over the tolerance.  Standard library only.
 """
 
 from __future__ import annotations
@@ -21,13 +21,10 @@ TYPE_CHECKING = False
 if TYPE_CHECKING:
     from typing import Iterable, Sequence
 
-    import numpy as np
-
 __all__ = [
     "InfeasibleMomentsError",
     "MomentVector",
     "DiscreteDistribution",
-    "HankelMatrix",
     "FeasibilityReport",
     "moments_from_discrete",
     "moments_from_samples",
@@ -212,23 +209,24 @@ class DiscreteDistribution(namedtuple("DiscreteDistribution", "atoms")):
         return cls(((x, 1.0),))
 
 
-def moments_from_discrete(dist: DiscreteDistribution) -> MomentVector:
-    """Raw moments m_j = sum_i p_i x_i^j for j = 0..4.
-
-    Atoms are already sorted ascending; each moment is a compensated
-    (exactly rounded) sum, so the result is deterministic.  m0 is 1 by
-    construction, honoring the convention 0^0 = 1 for an atom at zero.
-    m4 bounds every term |p x^j|, p <= 1, so it is summed first: when it
-    is beyond double range, OverflowError is raised before any other sum.
-    """
-    atoms = dist.atoms
-    m4 = math.fsum(p * x * x * x * x for x, p in atoms)
+def _raw_moments(xs, ws) -> MomentVector:
+    """Moments m_j = sum_i w_i x_i^j of atoms xs with weights ws, each a
+    correctly rounded ``fsum`` of the terms w x, (w x) x, ...: deterministic,
+    whatever the atoms' order.  m4 bounds every term (w <= 1), so it is summed
+    first, and OverflowError is raised when it is beyond double range."""
+    t1 = list(map(mul, ws, xs))
+    t2 = list(map(mul, t1, xs))
+    t3 = list(map(mul, t2, xs))
+    m4 = math.fsum(map(mul, t3, xs))
     if m4 == math.inf:
         raise OverflowError("the fourth moment is beyond double range")
-    m1 = math.fsum(p * x for x, p in atoms)
-    m2 = math.fsum(p * x * x for x, p in atoms)
-    m3 = math.fsum(p * x * x * x for x, p in atoms)
-    return MomentVector(1.0, m1, m2, m3, m4)
+    return MomentVector(1.0, math.fsum(t1), math.fsum(t2), math.fsum(t3), m4)
+
+
+def moments_from_discrete(dist: DiscreteDistribution) -> MomentVector:
+    """Raw moments m_j = sum_i p_i x_i^j for j = 0..4 (see ``_raw_moments``);
+    m0 = 1 honors the convention 0^0 = 1 for an atom at zero."""
+    return _raw_moments(*zip(*dist.atoms))
 
 
 def moments_from_samples(samples: Sequence[float]) -> MomentVector:
@@ -247,14 +245,7 @@ def moments_from_samples(samples: Sequence[float]) -> MomentVector:
     for x in map(float, samples):  # merged as the law merges: 0.0 + p + ... + p, the first of ±0.0 kept
         merged[x] = merged.get(x, 0.0) + p
     total = math.fsum(merged.values())
-    xs = list(merged)
-    t1 = list(map(mul, [w / total for w in merged.values()], xs))
-    t2 = list(map(mul, t1, xs))
-    t3 = list(map(mul, t2, xs))
-    m4 = math.fsum(map(mul, t3, xs))
-    if m4 == math.inf:
-        raise OverflowError("the fourth moment is beyond double range")
-    return MomentVector(1.0, math.fsum(t1), math.fsum(t2), math.fsum(t3), m4)
+    return _raw_moments(list(merged), [w / total for w in merged.values()])
 
 
 def abs_third_moment(dist: DiscreteDistribution) -> float:
@@ -266,28 +257,11 @@ def abs_third_moment(dist: DiscreteDistribution) -> float:
     return math.fsum(abs(p * x * x * x) for x, p in dist.atoms)
 
 
-class HankelMatrix(namedtuple("HankelMatrix", "entries")):
-    """3x3 Gram matrix of (1, X, X^2): H[i][j] = m_{i+j}, a read-only array.
-
-    Compared and hashed by identity: tuple equality would compare arrays.
-    """
-
-    __slots__ = ()
-    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
-
-    def __new__(cls, entries: np.ndarray):
-        entries.setflags(write=False)
-        return super().__new__(cls, entries)
-
-    _make = classmethod(_validated_make)
-
-
-def hankel(mv: MomentVector) -> HankelMatrix:
-    """Hankel (moment) matrix of mv."""
-    import numpy as np
-
-    m = mv.as_tuple()
-    return HankelMatrix(np.array([[m[0], m[1], m[2]], [m[1], m[2], m[3]], [m[2], m[3], m[4]]]))
+def hankel(mv: MomentVector) -> tuple[tuple[float, float, float], ...]:
+    """Rows of the 3x3 Hankel (moment) matrix of mv, the Gram matrix of
+    (1, X, X^2): H[i][j] = m_{i+j}.  ``np.array(hankel(mv))`` for linear algebra."""
+    m0, m1, m2, m3, m4 = mv
+    return (m0, m1, m2), (m1, m2, m3), (m2, m3, m4)
 
 
 def hankel_det_closed_form(mv: MomentVector) -> float:

@@ -148,9 +148,9 @@ def _simplex(AT, abs_at, b, c, basis, n):
     degenerate pivots in a row, where it has the lowest index (Bland's
     rule) until the objective moves again: only degenerate pivots can
     cycle, and Bland's rule cannot.  Ratio ties leave by lowest basis
-    index.  Each pivot updates the basis inverse by a rank-1 (eta) update;
-    the one returned is inverted afresh at optimality.  Returns (inverse
-    basis, pivots, columns priced).
+    index.  Each pivot updates the basis inverse, used for pricing only, by
+    a rank-1 (eta) update.  Leaves the optimal basis in ``basis`` and
+    returns (pivots, columns priced).
     """
     m, abs_c = len(b), np.abs(c[:n])
     zero = PRICE_TOL * max(1.0, np.abs(b).max())
@@ -164,7 +164,7 @@ def _simplex(AT, abs_at, b, c, basis, n):
         eligible = reduced > PRICE_TOL * (abs_c + abs_at @ np.abs(y))
         j = int(np.argmax(eligible if stalled > STALLS_PER_ROW * m else np.where(eligible, reduced, -np.inf)))
         if not eligible[j]:
-            return np.linalg.inv(AT[basis].T), pivots, priced
+            return pivots, priced
         u = inv @ AT[j]
         big = PRICE_TOL * max(1.0, np.abs(u).max())
         ratios = [(max(xr, 0.0) / abs(ur), k, r) for r, (ur, xr, k) in enumerate(zip(u.tolist(), (inv @ b).tolist(), basis))
@@ -203,8 +203,8 @@ def _phase1(A: np.ndarray, b: np.ndarray) -> _Start | None:
     AT, b1 = np.vstack([A.T * rows, np.eye(m)]), b * rows
     abs_at = np.abs(AT[:n])
     basis = list(range(n, n + m))
-    inv, pivots, priced = _simplex(AT, abs_at, b1, np.r_[np.zeros(n), -np.ones(m)], basis, n)
-    if any(v > CERTIFICATE_TOL * (b1[j - n] or 1.0) for v, j in zip(inv @ b1, basis) if j >= n):
+    pivots, priced = _simplex(AT, abs_at, b1, np.r_[np.zeros(n), -np.ones(m)], basis, n)
+    if any(v > CERTIFICATE_TOL * (b1[j - n] or 1.0) for v, j in zip(np.linalg.solve(AT[basis].T, b1), basis) if j >= n):
         return None
     return _Start(AT, abs_at, b1, rows, basis, pivots, priced)
 
@@ -213,18 +213,21 @@ def _phase2(start: _Start, c: np.ndarray) -> LPSolution | None:
     """Maximize c @ x from the phase-1 basis of ``start`` (left unchanged);
     the objective is scaled to unit magnitude first.  Basic weights at or
     below WEIGHT_CLAMP are dropped; None if they carry more than
-    CERTIFICATE_TOL of a row's terms (5e-309 on x = 1e77 for m4 = 1)."""
+    CERTIFICATE_TOL of a row's terms (5e-309 on x = 1e77 for m4 = 1).
+    Weights and duals are solved from the final basis: through an explicit
+    inverse, a weight of 9e-13 read -7.1e-9 on a basis of condition 4e5."""
     abs_at, b1, rows, basis = start.abs_at, start.b, start.rows, list(start.basis)
     n = len(c)
     size_c = max(np.abs(c).max(), np.finfo(float).tiny)
     c1 = np.r_[c / size_c, np.zeros(len(b1))]
-    inv, pivots, priced = _simplex(start.AT, abs_at, b1, c1, basis, n)
+    pivots, priced = _simplex(start.AT, abs_at, b1, c1, basis, n)
+    B = start.AT[basis].T
     x = np.zeros(len(c1))
-    x[basis] = inv @ b1
+    x[basis] = np.linalg.solve(B, b1)
     kept = np.where(x[:n] > WEIGHT_CLAMP, x[:n], 0.0)
     if (np.abs(x[:n] - kept) @ abs_at > CERTIFICATE_TOL * (kept @ abs_at + b1)).any():
         return None
-    y = (c1[basis] @ inv) * rows * size_c
+    y = np.linalg.solve(B.T, c1[basis]) * rows * size_c
     return LPSolution(kept, y, start.pivots + pivots, start.priced + priced)
 
 
@@ -292,6 +295,8 @@ def oracle_max_m3(cfg: OracleConfig) -> OracleResult:
     sol = lp_max(A, b, c)
     if sol is None:
         raise InfeasibleMomentsError("infeasible configuration")
+    # a basic mean-row slack makes y1 = 0 up to round-off; any y that passes proves the optimum
+    sol.y[1] = max(sol.y[1], 0.0)
     check_certificate(A, b, c, sol.x, sol.y)
     support = np.flatnonzero(sol.x[:-1])
     m3 = math.fsum(c[support] * sol.x[support]) * (s * s * s)

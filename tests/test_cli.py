@@ -447,6 +447,16 @@ class TestVerifyCommand:
         assert report is None
         assert "certificate failed" in err
 
+    def test_round_off_on_a_basic_slack_is_no_dual_failure(self, capsys):
+        # the mean row's slack is basic, so its dual y1 is 0; it came out as
+        # -1.9e-17, which the dual check on the slack column refused
+        argv = ["--grid-lo", "-1.888130916106281", "--grid-hi", "0.5933211422066171",
+                "--step", "0.00048439548676741065", "--m4", "6.219150654675419", "--trials", "10"]
+        code, report, err = run(capsys, "verify", *argv)
+        assert "LP certificate failed" not in err
+        assert code == 1 and report["verified"] is False
+        assert report["oracle_dual"][1] == 0.0
+
     def test_degenerate_grid_exit_3(self, capsys):
         code, _, err = run(capsys, "verify", "--step", "10")
         assert code == 3
@@ -653,8 +663,12 @@ def test_scalar_subcommands_import_no_numpy():
     assert proc.stdout.strip() == "ok"
 
 
-#: Runs the CLI with numpy's import blocked, as on a system without numpy.
-NO_NUMPY = "import sys; sys.modules['numpy'] = None; from momentbounds.cli import main; sys.exit(main(sys.argv[1:]))"
+#: With numpy's import blocked, as on a system without numpy, takes the
+#: Hankel rows of the library, then runs the CLI.
+NO_NUMPY = """import sys; sys.modules['numpy'] = None
+import momentbounds as mb
+assert mb.hankel(mb.MomentVector(1, 0, 2, 2, 6)) == ((1, 0, 2), (0, 2, 2), (2, 2, 6))
+from momentbounds.cli import main; sys.exit(main(sys.argv[1:]))"""
 
 
 @pytest.mark.parametrize(

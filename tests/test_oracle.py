@@ -23,11 +23,7 @@ from momentbounds import (
     two_point_zero_mean,
 )
 from momentbounds import oracle
-
-
-def tol_scale(mv):
-    """max(1, m4^(3/2)), the scale of this module's absolute tolerances."""
-    return max(1.0, mv.m4**1.5)
+from conftest import tol_scale
 
 
 COARSE = OracleConfig(grid_lo=-2.0, grid_hi=2.0, grid_step=0.1)
@@ -316,19 +312,19 @@ class TestPinnedResults:
         res = oracle_max_m3(OracleConfig())
         assert res.max_m3 == 0.6203825005110035
         assert res.argmax.atoms == (
-            (-0.3999999999999999, 0.09582419872630345),
-            (-0.3900000000000001, 0.6939831980547376),
-            (1.4699999999999998, 0.21019260321895894),
+            (-0.3999999999999999, 0.0958241987263024),
+            (-0.3900000000000001, 0.6939831980547388),
+            (1.4699999999999998, 0.2101926032189587),
         )
-        assert res.dual == (0.15707255978742204, 0.5823332356748643, 0.46330994072358134)
+        assert res.dual == (0.15707255978742188, 0.582333235674864, 0.4633099407235816)
         assert (res.pivots, res.candidates_examined) == (18, 12040)
 
     @pytest.mark.parametrize(
         "triple, ends",
         [
-            ((0.0, 1.0, 2.0), (-0.9999606199999839, 0.9999606199999995)),
-            ((0.0, 2.0, 6.0), (-1.9999999999999716, 1.9999999999999645)),
-            ((-0.5, 1.0, 2.0), (-1.3660004347825891, 0.36595043478259587)),
+            ((0.0, 1.0, 2.0), (-0.9999606200000001, 0.9999606200000002)),
+            ((0.0, 2.0, 6.0), (-2.0000000000000124, 2.0000000000000053)),
+            ((-0.5, 1.0, 2.0), (-1.3660004347826087, 0.3659504347826086)),
         ],
     )
     def test_default_m3_range(self, triple, ends):
@@ -458,6 +454,23 @@ class TestOracleExtremeGiven:
         lo, hi = oracle_extreme_m3_given(0.0, 2.0, 6.0, COARSE)
         assert hi == pytest.approx(2.0, abs=5e-3)
         assert lo == pytest.approx(-2.0, abs=5e-3)
+
+    @pytest.mark.parametrize(
+        "triple, step, m3",
+        [
+            ((0.0, 1.2311608994957512, 1.8143153995017063), 0.00017059178227204726, -0.6062781788471598),
+            ((0.0, 1.4877671822436702, 2.228200102321356), 0.0002809565332656919, 0.1481315289396473),
+            ((0.0, 0.9827057192101795, 1.1874899655562605), 0.0001640713764171574, -0.466844641359175),
+        ],
+    )
+    def test_fine_grid_pair_is_represented(self, triple, step, m3):
+        # zero-mean laws on two grid points of [-3, 3] with m3 as given: their
+        # optimal weights, read through an explicit basis inverse, had
+        # round-off below -WEIGHT_CLAMP and were refused as unrepresentable
+        lo, hi = oracle_extreme_m3_given(*triple, OracleConfig(grid_step=step))
+        iv = m3_interval(*triple)
+        assert iv.lo - 1e-9 <= lo <= hi <= iv.hi + 1e-9
+        assert min(abs(lo - m3), abs(hi - m3)) <= 1e-9
 
     def test_non_finite_moment_rejected(self):
         with pytest.raises(ValueError, match="non-finite moment"):

@@ -12,7 +12,6 @@ from momentbounds import (
     DiscreteDistribution,
     FalsifierReport,
     FeasibilityReport,
-    HankelMatrix,
     InfeasibleMomentsError,
     LPSolution,
     MomentInterval,
@@ -23,7 +22,6 @@ from momentbounds import (
     bound_sqrt,
     certificate_from_hankel,
     feasibility,
-    hankel,
     m3_interval,
     oracle_max_m3,
     random_falsifier,
@@ -41,7 +39,6 @@ def records():
     return [
         MV,
         DiscreteDistribution.point_mass(1.0),
-        hankel(MV),
         feasibility(MV),
         bound_sqrt(MV),
         m3_interval(0.0, 1.0, 2.0),
@@ -69,7 +66,7 @@ def test_fields_cannot_be_assigned_or_deleted(record):
 
 
 def test_every_record_type_is_covered():
-    types = {MomentVector, DiscreteDistribution, HankelMatrix, FeasibilityReport, BoundResult,
+    types = {MomentVector, DiscreteDistribution, FeasibilityReport, BoundResult,
                 MomentInterval, Certificate, OracleConfig, OracleResult, FalsifierReport,
                 LPSolution, ReplayedTrial, oracle._Start}
     assert {type(r) for r in records()} == types
@@ -114,18 +111,6 @@ def test_replace_validates_and_recomputes():
     with pytest.raises(ValueError):
         DiscreteDistribution.point_mass(1.0)._replace(atoms=((1.0, 0.5),))
     assert DiscreteDistribution.point_mass(1.0)._replace(atoms=((2.0, 1.0), (1.0, 0.0))).atoms == ((2.0, 1.0),)
-
-
-def test_hankel_matrix_keeps_identity_equality():
-    h, same = hankel(MV), hankel(MV)
-    assert h == h and not h != h
-    assert h != same and not h == same  # tuple equality would compare the arrays
-    assert len({h, same}) == 2
-    with pytest.raises(ValueError):
-        h.entries[0, 0] = 5.0
-    replaced = h._replace(entries=np.zeros((3, 3)))
-    with pytest.raises(ValueError):
-        replaced.entries[0, 0] = 5.0
 
 
 def test_defaults_and_derived_members_survive():
