@@ -11,7 +11,7 @@ both endpoints, from inside.
 from momentbounds import OracleConfig, m3_interval, oracle_extreme_m3_given
 
 CASES = [
-    (0.0, 1.0, 1.0),   # Rademacher forced: the interval collapses
+    (0.0, 1.0, 1.0),   # Rademacher forced: the interval collapses (to +-5.96e-8, the rounding allowance)
     (0.0, 1.0, 2.0),
     (0.0, 2.0, 6.0),
     (-0.5, 1.0, 2.0),  # nonzero mean shifts the center to m1 * m2

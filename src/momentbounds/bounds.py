@@ -8,7 +8,10 @@ and both bounds are attained exactly by zero-mean two-point distributions.
 This module evaluates the bounds, detects tightness, constructs the
 attaining distributions, and extracts a support certificate from a
 singular Hankel matrix.  Without the sign condition on m1, ``m3_interval``
-gives the exact two-sided range of m3 compatible with (m1, m2, m4).
+gives the two-sided range of m3 compatible with (m1, m2, m4), its ends
+widened by the PSD verdict's rounding allowance (+-5.96e-8 s^3 for the
+Rademacher law, whose exact range is {0}).  The sqrt bound carries the
+same allowance, so for m1 <= 0 it is at least the interval's upper end.
 """
 
 from __future__ import annotations
@@ -73,15 +76,15 @@ class BoundResult(namedtuple("BoundResult", "bound slack scaled_slack tight witn
     """A bound on m3 with its slack and, when tight, the attaining witness
     (a ``DiscreteDistribution``, else None).
 
-    ``scaled_slack`` is slack / s^3 with s = m4^(1/4), the slack of X / s:
-    the bound is tight iff its magnitude is at most the tolerance.
+    ``scaled_slack`` is slack / s^3 with s = m4^(1/4), the slack of X / s;
+    tightness is judged on it (see ``bound_sqrt`` and ``bound_quarter``).
     """
 
     __slots__ = ()
 
 
 class MomentInterval(namedtuple("MomentInterval", "lo hi")):
-    """Exact range [lo, hi] of m3 values compatible with (m1, m2, m4)."""
+    """Range [lo, hi] of m3 given (m1, m2, m4), widened by the PSD rounding allowance (Rademacher: +-5.96e-8 s^3)."""
 
     __slots__ = ()
 
@@ -107,9 +110,13 @@ def _require_feasible(mv: MomentVector) -> None:
 
 
 def sqrt_bound(m2, m4):
-    """(sqrt(max(0, s2)), s2) with s2 = m4 m2 - m2^3; floats or arrays."""
-    s2 = m4 * m2 - m2 * m2 * m2
-    return root(floor_at(s2, 0.0)), s2
+    """sqrt(m4 m2 - m2^3) = sqrt(m2 Var X^2) of a zero-mean X as its
+    ``cov_radius``, with the rounding allowance of the PSD verdict and of
+    ``m3_interval``, whose upper end it bounds when m1 <= 0.  Where Var X^2
+    is near 0 the allowance decides: the Rademacher law gets 5.96e-8 for 0.
+    Floats or arrays."""
+    unit = (0.0, m2, 0.0, m4)
+    return cov_radius(unit, covariance(*unit))
 
 
 def quarter_bound(m4):
@@ -128,22 +135,23 @@ def bound_trivial(mv: MomentVector) -> float:
     return mv.m4**0.75
 
 
-def _bound_result(mv: MomentVector, unit_bound: float, tol: float, witness) -> BoundResult:
+def _bound_result(mv: MomentVector, unit_bounds, tol: float, witness) -> BoundResult:
     """BoundResult from the bound of X / s; ``witness()`` gives the atoms of the witness of X / s.
 
-    Tight when the standardized slack is within tol and the witness is
-    finite and reproduces the standardized m2, m3 and m4 within tol: a
-    small slack alone does not make a law attain the bound.  Checks the
-    preconditions of both sharp bounds: m1 <= 0 and H PSD.  For s = 0
-    (m4 = 0) both bounds and the witness are 0.
+    ``unit_bounds`` is the bound of X / s and the same without its rounding
+    allowance.  Tight when the standardized m3 is within tol of the range
+    between them and the witness is finite and reproduces the standardized
+    m2, m3 and m4 within tol: a small slack alone does not make a law attain
+    the bound.  Checks the preconditions of both sharp bounds: m1 <= 0 and
+    H PSD.  For s = 0 (m4 = 0) both bounds and the witness are 0.
     """
     if not mean_nonpositive(mv):
         raise ValueError("precondition m1 <= 0 violated (use m3_interval)")
     _require_feasible(mv)
-    s = mv.s
+    (unit_bound, plain), s = unit_bounds, mv.s
     scaled_slack = unit_bound - mv.unit[2]
     bound = unit_bound * s * s * s
-    atoms = witness() if abs(scaled_slack) <= tol else ()
+    atoms = witness() if -tol <= scaled_slack and plain - mv.unit[2] <= tol else ()
     tight = bool(atoms) and _reproduces(atoms, mv.unit, tol)
     law = DiscreteDistribution(tuple((s * x, p) for x, p in atoms)) if tight else None
     return BoundResult(bound, bound - mv.m3, scaled_slack, tight, law)
@@ -167,10 +175,13 @@ def bound_sqrt(mv: MomentVector, tol: float = DEFAULT_TIGHT_TOL) -> BoundResult:
 
     Tight exactly for the zero-mean two-point distributions; when tight,
     the witness is the zero-mean law on two points with the given m2 and m3.
-    The verdict and the witness are computed for X / s, s = m4^(1/4).
+    The verdict and the witness are computed for X / s, s = m4^(1/4).  The
+    bound is ``sqrt_bound``, with the PSD verdict's rounding allowance
+    (5.96e-8 s^3 for the Rademacher law, which is tight).
     """
     _, a2, a3, a4 = mv.unit
-    return _bound_result(mv, sqrt_bound(a2, a4)[0], tol, lambda: _two_point(0.0, a2, a3) if a2 > 0.0 else ((0.0, 1.0),))
+    plain = root(floor_at(a4 * a2 - a2 * a2 * a2, 0.0))
+    return _bound_result(mv, (sqrt_bound(a2, a4), plain), tol, lambda: _two_point(0.0, a2, a3) if a2 > 0.0 else ((0.0, 1.0),))
 
 
 def _two_point(mean: float, var: float, k3: float) -> tuple[tuple[float, float], tuple[float, float]]:
@@ -199,25 +210,29 @@ def bound_quarter(mv: MomentVector, tol: float = DEFAULT_TIGHT_TOL) -> BoundResu
     def witness() -> tuple[tuple[float, float], ...]:
         return extremal_from_sigma((a4 / 3.0) ** 0.25).atoms if a4 > 0.0 else ((0.0, 1.0),)
 
-    return _bound_result(mv, quarter_bound(a4), tol, witness)
+    q = quarter_bound(a4)
+    return _bound_result(mv, (q, q), tol, witness)
 
 
 def m3_interval(m1: float, m2: float, m4: float) -> MomentInterval:
-    """Exact two-sided range of m3 given (m1, m2, m4), any sign of m1.
+    """Two-sided range of m3 given (m1, m2, m4), any sign of m1.
 
     H is PSD iff Cov(X, X^2) = m3 - m1 m2 is at most sqrt(Var X Var X^2)
     in magnitude (see ``covariance``).  Computed for X / s, s = m4^(1/4),
     whose Var X and Var X^2 are held to the same ``psd_tol(m4)`` as in
-    ``MomentVector.cov``.
+    ``MomentVector.cov``; the half-width is ``cov_radius``, so the ends carry
+    the PSD verdict's rounding allowance: the Rademacher law (0, 1, 1), whose
+    exact range is {0}, gets +-5.96e-8 s^3.  For m1 <= 0, hi is at most the
+    sqrt bound, which carries the same allowance.
     """
     if not all(math.isfinite(v) for v in (m1, m2, m4)):
         raise ValueError("non-finite moment")
-    s, (a1, a2, _, a4) = standardize(m1, m2, 0.0, max(m4, 0.0))
-    a, b, _ = covariance(a1, a2, 0.0, a4)
+    s, unit = standardize(m1, m2, 0.0, max(m4, 0.0))
+    a, b, _ = cov = covariance(*unit)
     tol = psd_tol(m4)
     if m4 < 0.0 or a < -tol or b < -tol:
         raise InfeasibleMomentsError("infeasible (m1, m2, m4) triple")
-    half, center = cov_radius(a, b), a1 * a2
+    half, center = cov_radius(unit, cov), unit[0] * unit[1]
     return MomentInterval(lo=(center - half) * s * s * s, hi=(center + half) * s * s * s)
 
 

@@ -299,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_bound)
 
-    p = sub.add_parser("interval", help="exact m3 range from (m1, m2, m4)")
+    p = sub.add_parser("interval", help="m3 range from (m1, m2, m4)")
     p.add_argument("m1", type=float)
     p.add_argument("m2", type=float)
     p.add_argument("m4", type=float)

@@ -85,38 +85,37 @@ def standardize(m1, m2, m3, m4):
 def covariance(m1, m2, m3, m4):
     """(a, b, c) = (Var X, Var X^2, Cov(X, X^2)) = (m2 - m1^2, m4 - m2^2, m3 - m1 m2),
     the Schur complement of H's corner m0 = 1: det H = a b - c^2, and H is
-    PSD iff a >= 0, b >= 0 and |c| <= ``cov_radius(a, b)`` (the covariance
-    inequality behind the sqrt bound).  Products only, so floats and arrays
-    round alike and nothing raises OverflowError."""
+    PSD iff a >= 0, b >= 0 and |c| <= sqrt(ab) (the covariance inequality
+    behind the sqrt bound; see ``cov_radius``).  Products only, so floats and
+    arrays round alike and nothing raises OverflowError."""
     return m2 - m1 * m1, m4 - m2 * m2, m3 - m1 * m2
 
 
-def cov_radius(a, b):
-    """sqrt(max(a, 0) max(b, 0)), the largest |c| that a and b allow; floats or arrays."""
-    return root(floor_at(a, 0.0) * floor_at(b, 0.0))
-
-
-def cov_margin(unit, cov):
-    """cov_radius(a, b) - |c| of a standardized vector and its covariance, with a
-    and b raised by their rounding error, 8 ulps of the terms they subtract: the
-    law on -0.5 - 1e-9 and 0.5 - 1e-9 has b = 1.6e-17 and |c| = 4e-9, but its b
-    rounds to 1 - 1 = 0.  Floats or arrays."""
-    (a1, a2, _, a4), (a, b, c) = unit, cov
+def cov_radius(unit, cov):
+    """sqrt(ab) of a standardized vector's covariance, a and b raised by their
+    rounding error, 8 ulps of the terms they subtract: the largest |c| that
+    ``psd_verdict`` and ``m3_interval`` accept, and at m1 = 0 the sqrt bound
+    (``bounds.sqrt_bound``).  The law on -0.5 - 1e-9 and
+    0.5 - 1e-9 has b = 1.6e-17 and |c| = 4e-9, but its b rounds to 1 - 1 = 0;
+    at b = 0 the Rademacher law gets 5.96e-8.  Floats or arrays."""
+    (a1, a2, _, a4), (a, b, _) = unit, cov
     e = 8.0 * sys.float_info.epsilon
-    return cov_radius(a + e * (a2 + a1 * a1), b + e * (a4 + a2 * a2)) - abs(c)
+    return root(floor_at(a + e * (a2 + a1 * a1), 0.0) * floor_at(b + e * (a4 + a2 * a2), 0.0))
 
 
 def psd_verdict(a1, a2, a3, a4, tol: float = DEFAULT_PSD_TOL):
-    """(psd, (a, b, c)): H is PSD iff its ``covariance`` is.
+    """(psd, (a, b, c), r): H is PSD iff its ``covariance`` is.
 
     Takes the standardized vector (see ``standardize``) and requires a, b
-    and ``cov_margin`` to be at least -tol.  m4 = 0 forces X = 0 up
-    to underflow (an atom at 1e-90 has m4 = 0 and m1 = 1e-90); there the
-    standardization leaves the vector unscaled and its covariance is held to
-    the same -tol.  Floats or arrays of equal shape.
+    and r - |c|, r = ``cov_radius``, to be at least -tol.  m4 = 0 forces
+    X = 0 up to underflow (an atom at 1e-90 has m4 = 0 and m1 = 1e-90);
+    there the standardization leaves the vector unscaled and its covariance
+    is held to the same -tol.  Floats or arrays of equal shape; r is handed
+    back for the falsifier, whose interval margins read it.
     """
-    a, b, _ = cov = covariance(a1, a2, a3, a4)
-    return (a >= -tol) & (b >= -tol) & (cov_margin((a1, a2, a3, a4), cov) >= -tol), cov
+    a, b, c = cov = covariance(a1, a2, a3, a4)
+    r = cov_radius((a1, a2, a3, a4), cov)
+    return (a >= -tol) & (b >= -tol) & (r - abs(c) >= -tol), cov, r
 
 
 def psd_tol(m4: float) -> float:
@@ -153,7 +152,7 @@ class MomentVector(namedtuple("MomentVector", "m0 m1 m2 m3 m4")):
             raise InfeasibleMomentsError("even moments must be nonnegative")
         self = super().__new__(cls, 1.0, m1, m2, m3, m4)
         s, unit = standardize(m1, m2, m3, m4)
-        psd, cov = psd_verdict(*unit, psd_tol(m4))
+        psd, cov, _ = psd_verdict(*unit, psd_tol(m4))
         vars(self).update(s=s, unit=unit, psd=psd, cov=cov)
         return self
 
@@ -275,7 +274,7 @@ class FeasibilityReport(namedtuple("FeasibilityReport", "psd scale covariance ma
 
     ``scale`` is the standardization scale s = m4^(1/4), ``covariance`` the
     (a, b, c) of X / s (see ``covariance``) and ``margin`` the least of a, b
-    and ``cov_margin``, plus ``psd_tol(m4)``: psd iff margin >= 0.
+    and r - |c| (r = ``cov_radius``), plus ``psd_tol(m4)``: psd iff margin >= 0.
     PSD-ness is a necessary condition for a representing distribution to
     exist; sufficiency (rank conditions of the truncated moment problem)
     is not certified here.
@@ -290,8 +289,8 @@ def feasibility(mv: MomentVector) -> FeasibilityReport:
     Packages the verdict ``mv`` reached when it was built (see
     ``psd_verdict``).  Infeasibility is reported, never raised.
     """
-    a, b, _ = mv.cov
-    return FeasibilityReport(mv.psd, mv.s, mv.cov, min(a, b, cov_margin(mv.unit, mv.cov)) + psd_tol(mv.m4))
+    a, b, c = mv.cov
+    return FeasibilityReport(mv.psd, mv.s, mv.cov, min(a, b, cov_radius(mv.unit, mv.cov) - abs(c)) + psd_tol(mv.m4))
 
 
 def scale_moments(mv: MomentVector, lam: float) -> MomentVector:

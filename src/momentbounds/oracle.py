@@ -27,7 +27,6 @@ from .moments import (
     InfeasibleMomentsError,
     MomentVector,
     _validated_make,
-    cov_radius,
     moments_from_discrete,
     psd_verdict,
     standardize,
@@ -149,12 +148,13 @@ def _simplex(AT, abs_at, b, c, basis, n):
     rule) until the objective moves again: only degenerate pivots can
     cycle, and Bland's rule cannot.  Ratio ties leave by lowest basis
     index.  Each pivot updates the basis inverse, used for pricing only, by
-    a rank-1 (eta) update.  Leaves the optimal basis in ``basis`` and
-    returns (pivots, columns priced).
+    a rank-1 (eta) update, which drifts: a basis so reached is inverted
+    afresh and priced again before it is called optimal.  Leaves the
+    optimal basis in ``basis`` and returns (pivots, columns priced).
     """
     m, abs_c = len(b), np.abs(c[:n])
     zero = PRICE_TOL * max(1.0, np.abs(b).max())
-    inv, c_b = np.linalg.inv(AT[basis].T), c[basis]
+    inv, c_b, fresh = np.linalg.inv(AT[basis].T), c[basis], True
     pivots = priced = stalled = 0
     while True:
         y = c_b @ inv
@@ -164,7 +164,10 @@ def _simplex(AT, abs_at, b, c, basis, n):
         eligible = reduced > PRICE_TOL * (abs_c + abs_at @ np.abs(y))
         j = int(np.argmax(eligible if stalled > STALLS_PER_ROW * m else np.where(eligible, reduced, -np.inf)))
         if not eligible[j]:
-            return pivots, priced
+            if fresh:
+                return pivots, priced
+            inv, fresh = np.linalg.inv(AT[basis].T), True
+            continue
         u = inv @ AT[j]
         big = PRICE_TOL * max(1.0, np.abs(u).max())
         ratios = [(max(xr, 0.0) / abs(ur), k, r) for r, (ur, xr, k) in enumerate(zip(u.tolist(), (inv @ b).tolist(), basis))
@@ -177,7 +180,7 @@ def _simplex(AT, abs_at, b, c, basis, n):
         inv -= u[:, None] * row
         inv[leave] = row
         basis[leave], c_b[leave] = j, c[j]
-        pivots += 1
+        pivots, fresh = pivots + 1, False
         if pivots > 10 * (m + n):
             raise CertificateError("simplex iteration limit reached")
 
@@ -509,14 +512,13 @@ def _evaluate(m1, m2, m3, m4):
     The moments are standardized once, and the verdicts come from the
     formula helpers on the same standardized arguments the scalar API
     gives them, so the falsifier tests the shipped arithmetic; the PSD flag
-    and the m3 interval's margins read one covariance.  Margins and the cut
-    FALSIFIER_TOL are in units of s^3.
+    and the ends of ``m3_interval`` on X / s read one covariance and one
+    radius.  Margins and the cut FALSIFIER_TOL are in units of s^3.
     """
     _, (a1, a2, a3, a4) = standardize(m1, m2, m3, m4)
-    psd, (a, b, _) = psd_verdict(a1, a2, a3, a4)
-    r, center = cov_radius(a, b), a1 * a2
+    (psd, _, r), center = psd_verdict(a1, a2, a3, a4), a1 * a2
     inside = np.minimum(a3 - (center - r), center + r - a3)
-    slack_sqrt = sqrt_bound(a2, a4)[0] - a3
+    slack_sqrt = sqrt_bound(a2, a4) - a3
     slack_quarter = quarter_bound(a4) - a3
     margin = np.minimum.reduce([slack_sqrt, slack_quarter, inside])
     tol = FALSIFIER_TOL

@@ -38,9 +38,11 @@ class TestBoundTrivial:
 
 class TestBoundSqrt:
     def test_rademacher_tight(self):
+        # sqrt(m4 m2 - m2^3) = 0; the bound carries the PSD verdict's rounding
+        # allowance, 4 sqrt(eps) at Var X = 1, Var X^2 = 0
         res = bound_sqrt(MomentVector(1, 0, 1, 0, 1))
-        assert res.bound == 0.0
-        assert res.slack == 0.0
+        assert res.bound == 5.960464477539068e-08
+        assert res.slack == 5.960464477539068e-08
         assert res.tight
         assert res.witness.atoms == ((-1.0, 0.5), (1.0, 0.5))
 
@@ -52,6 +54,17 @@ class TestBoundSqrt:
         ps = [p for _, p in res.witness.atoms]
         assert xs == pytest.approx([-1.0, 2.0])
         assert ps == pytest.approx([2.0 / 3.0, 1.0 / 3.0])
+
+    @pytest.mark.parametrize("d", [5e-9, -5e-9, 1e-12])
+    def test_near_symmetric_law_is_not_missed(self, d):
+        # m4 m2 - m2^3 of the law on -1 and 1 + d cancels to 0, and the bound
+        # without its rounding allowance was 0, below m3 = d for d > 0
+        mv = moments_from_discrete(two_point_zero_mean(1.0, 1.0 + d))
+        res = bound_sqrt(mv)
+        assert res.slack >= 0.0
+        assert res.tight
+        # at m1 = 0 the bound is the upper end of the interval
+        assert res.bound == pytest.approx(m3_interval(mv.m1, mv.m2, mv.m4).hi, abs=1e-15)
 
     def test_slack_case(self):
         # atoms {(-sqrt 2, 1/4), (0, 1/2), (sqrt 2, 1/4)} -> (1, 0, 1, 0, 2)
@@ -108,8 +121,10 @@ class TestBoundQuarter:
 
 class TestM3Interval:
     def test_degenerate(self):
+        # the exact range is the point 0; the ends carry the PSD verdict's
+        # rounding allowance, 4 sqrt(eps) at a = 1, b = 0
         iv = m3_interval(0.0, 1.0, 1.0)
-        assert (iv.lo, iv.hi) == (0.0, 0.0)
+        assert (iv.lo, iv.hi) == (-5.960464477539068e-08, 5.960464477539068e-08)
 
     def test_symmetric(self):
         iv = m3_interval(0.0, 1.0, 2.0)

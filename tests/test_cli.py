@@ -170,10 +170,10 @@ class TestBoundCommand:
         code, report, err = run(capsys, "bound", "--moments", "1", "0", "1e150", "0", "1e300")
         assert code == 0 and err == ""
         for name, res in report["bounds"].items():
-            # the sqrt bound of the Rademacher law is 0, computed with a sqrt(ulp) floor
+            # the sqrt bound of the Rademacher law is its rounding allowance, 5.96e-8 s^3
             assert res["bound"] == pytest.approx(1e225 * unit["bounds"][name]["bound"], rel=1e-12, abs=1e217)
         assert report["bounds"]["sqrt"]["tight"] is True
-        assert report["interval"] == {"lo": 0.0, "hi": 0.0}
+        assert report["interval"] == {"lo": -5.960464477539069e217, "hi": 5.960464477539069e217}
         assert report["certificate"]["roots"] == pytest.approx([-1e75, 1e75], rel=1e-12)
         assert report["feasibility"]["scale"] == pytest.approx(1e75)
 
@@ -255,7 +255,7 @@ class TestIntervalCommand:
     def test_degenerate(self, capsys):
         code, report, _ = run(capsys, "interval", "0", "1", "1")
         assert code == 0
-        assert report["interval"] == {"lo": 0.0, "hi": 0.0}
+        assert report["interval"] == {"lo": -5.960464477539068e-08, "hi": 5.960464477539068e-08}
 
     def test_symmetric(self, capsys):
         code, report, _ = run(capsys, "interval", "0", "1", "2")

@@ -240,11 +240,12 @@ class TestFeasibility:
         # (1, 0, 1, 0, 2): s = 2^(1/4), standardized (0, 2^(-1/2), 0, 1), so
         # Var X = 2^(-1/2), Var X^2 = 1/2, Cov(X, X^2) = 0 and sqrt(ab) = 2^(-3/4):
         # the least of a, b and sqrt(ab) - |c| is 1/2
-        rep = feasibility(MomentVector(1, 0, 1, 0, 2))
+        mv = MomentVector(1, 0, 1, 0, 2)
+        rep = feasibility(mv)
         assert rep.scale == pytest.approx(2.0**0.25)
         a, b, c = rep.covariance
         assert (a, b, c) == pytest.approx((2.0**-0.5, 0.5, 0.0))
-        assert rep.margin == min(a, b, cov_radius(a, b) - abs(c)) + 1e-10 == pytest.approx(0.5 + 1e-10)
+        assert rep.margin == min(a, b, cov_radius(mv.unit, mv.cov) - abs(c)) + 1e-10 == pytest.approx(0.5 + 1e-10)
         assert (a * b - c * c) * rep.scale**6 == pytest.approx(1.0)  # det H
 
     def test_non_leading_minor_decides(self):
@@ -294,12 +295,14 @@ class TestFeasibility:
         m1, m3 = rng.uniform(-1.0, 1.0, size=(2, 300))
         m2, m4 = rng.uniform(0.0, 1.0, size=(2, 300))
         s, std = standardize(m1, m2, m3, m4)
-        psd, cov = psd_verdict(*std)
+        psd, cov, radius = psd_verdict(*std)
         for k in range(300):
-            rep = feasibility(MomentVector(1.0, *(float(m[k]) for m in (m1, m2, m3, m4))))
+            mv = MomentVector(1.0, *(float(m[k]) for m in (m1, m2, m3, m4)))
+            rep = feasibility(mv)
             assert psd[k] == rep.psd
             assert s[k] == rep.scale
             assert [float(d[k]) for d in cov] == list(rep.covariance)
+            assert float(radius[k]) == cov_radius(mv.unit, mv.cov)
 
     def test_verdict_invariant_under_scaling(self):
         for mv in (MomentVector(1, 0, 1, 0, 1), MomentVector(1, 0, 2, 2, 6), MomentVector(1, 0, 1, 0, 0.99)):
@@ -312,7 +315,7 @@ class TestFeasibility:
 
     def test_verdict_is_reached_at_construction(self):
         for mv in (MomentVector(1, 0, 1, 0, 2), MomentVector(1, 0, 1, 0, 0.5), MomentVector(1, 0, 0, 0, 0)):
-            assert (mv.psd, mv.cov) == psd_verdict(*mv.unit)
+            assert (mv.psd, mv.cov, cov_radius(mv.unit, mv.cov)) == psd_verdict(*mv.unit)
             rep = feasibility(mv)
             assert (rep.psd, rep.covariance) == (mv.psd, mv.cov)
 
@@ -325,7 +328,7 @@ class TestFeasibility:
         assert rep.psd and rep.margin >= 0.0
         assert psd_tol(mv.m4) == 1e-10 + 4.0 * 2.0**-1074 / mv.m4
         a, b, c = rep.covariance
-        assert rep.margin == min(a, b, cov_radius(a, b) - abs(c)) + psd_tol(mv.m4)
+        assert rep.margin == min(a, b, cov_radius(mv.unit, mv.cov) - abs(c)) + psd_tol(mv.m4)
 
     def test_subnormal_m4_forgives_only_its_rounding_error(self):
         rep = feasibility(MomentVector(1, 0, 1e-5, 0, 1e-310))
@@ -374,6 +377,13 @@ def reference_covariance(m1, m2, m3, m4):
     return m2 - m1**2, m4 - m2**2, m3 - m1 * m2
 
 
+def reference_radius(m1, m2, m3, m4):
+    """``cov_radius`` written out: sqrt(ab), a and b raised by 8 ulps of their terms."""
+    a, b, _ = reference_covariance(m1, m2, m3, m4)
+    e = 8.0 * sys.float_info.epsilon
+    return math.sqrt(max(a + e * (m2 + m1**2), 0.0) * max(b + e * (m4 + m2**2), 0.0))
+
+
 class TestFormulaHelpers:
     VALUES = (-2.5, -1.0, -1e-300, -5e-324, -0.0, 0.0, 5e-324, 1e-300, 0.7, 1.0, 3.0, 1e300, np.inf)
 
@@ -395,12 +405,12 @@ class TestFormulaHelpers:
         got, want = covariance(*m), reference_covariance(*m)
         for g, w in zip(got, want):
             np.testing.assert_array_equal(g, w)
-        radius = cov_radius(got[0], got[1])
+        radius = cov_radius(m, got)
         for k, col in enumerate(m.T[:200]):
             args = [float(v) for v in col]
             a, b, c = covariance(*args)
             assert (a, b, c) == reference_covariance(*args) == tuple(float(g[k]) for g in got)
-            assert cov_radius(a, b) == radius[k] == math.sqrt(max(a, 0.0) * max(b, 0.0))
+            assert cov_radius(args, (a, b, c)) == radius[k] == reference_radius(*args)
 
 
 class TestScaleMoments:

@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from momentbounds import (
     bound_quarter,
     bound_sqrt,
     certificate_from_hankel,
+    extremal_from_sigma,
     feasibility,
     hankel,
     hankel_det_closed_form,
@@ -23,6 +25,7 @@ from momentbounds import (
     moments_from_discrete,
     moments_from_samples,
     scale_moments,
+    two_point_zero_mean,
 )
 from momentbounds.moments import psd_tol
 from conftest import tol_scale
@@ -49,6 +52,41 @@ def nonpositive_mean_distributions(draw, max_atoms=8):
     return DiscreteDistribution.from_pairs((x - shift, p) for x, p in d.atoms)
 
 
+@st.composite
+def boundary_laws(draw):
+    """Real laws on the boundary of the moment space, where Var X^2 or det H
+    of X / s is near 0 and the rounding of the moments decides: zero-mean and
+    near-symmetric two-point laws, the extremal law and Hankel-singular laws
+    (any two points, or one), each atom moved by a relative 10^U[-12, -2] and
+    the law scaled by 10^U[-6, 6]."""
+    family = draw(st.sampled_from(["zero-mean", "near-symmetric", "extremal", "singular"]))
+    if family == "zero-mean":
+        atoms = two_point_zero_mean(*(10.0 ** draw(st.floats(-3.0, 3.0)) for _ in range(2))).atoms
+    elif family == "near-symmetric":
+        x = draw(st.floats(0.1, 2.0))
+        atoms = ((-x, 0.5), (x, 0.5))
+    elif family == "extremal":
+        atoms = extremal_from_sigma(1.0).atoms
+    else:  # p = 1 is the point mass at +-1
+        p = draw(st.floats(1e-3, 1.0))
+        atoms = ((draw(st.sampled_from([-1.0, 1.0])), p), (draw(st.floats(-2.0, 2.0)), 1.0 - p))
+    lam = 10.0 ** draw(st.floats(-6.0, 6.0))
+    return DiscreteDistribution.from_pairs(
+        (lam * x * (1.0 + draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-12.0, -2.0))), p)
+        for x, p in atoms
+    )
+
+
+def nonpositive_mean(d):
+    """d shifted left past its mean, when that is positive, by 4 ulps of its
+    largest atom, more than the rounding of the shifted atoms' mean."""
+    m1 = moments_from_discrete(d).m1
+    if m1 <= 0.0:
+        return d
+    shift = m1 + 4.0 * sys.float_info.epsilon * max(abs(x) for x, _ in d.atoms)
+    return DiscreteDistribution.from_pairs((x - shift, p) for x, p in d.atoms)
+
+
 @given(distributions())
 def test_every_distribution_is_feasible(d):
     assert feasibility(moments_from_discrete(d)).psd
@@ -68,15 +106,17 @@ def test_abs_third_moment_dominates(d):
     assert abs_third_moment(d) >= abs(moments_from_discrete(d).m3) - 1e-15
 
 
-@given(distributions())
+@given(st.one_of(distributions(), boundary_laws()))
 @example(DiscreteDistribution.point_mass(6.8903119051009e-81))  # subnormal m4
+@example(DiscreteDistribution.from_pairs([(-1.7353326886208245, 0.5), (1.7353326678279686, 0.5)]))  # Var X^2 near 0
 def test_m3_lies_in_interval(d):
     mv = moments_from_discrete(d)
     iv = m3_interval(mv.m1, mv.m2, mv.m4)
     assert iv.contains(mv.m3, widen=1e-9 * tol_scale(mv))
 
 
-@given(nonpositive_mean_distributions())
+@given(st.one_of(nonpositive_mean_distributions(), boundary_laws().map(nonpositive_mean)))
+@example(DiscreteDistribution.from_pairs([(-1.7353326886208245, 0.5), (1.7353326678279686, 0.5)]))
 def test_bounds_are_sound(d):
     mv = moments_from_discrete(d)
     r1 = bound_sqrt(mv)
@@ -127,8 +167,12 @@ def certifies(mv):
     return True
 
 
-@given(moment_vectors())
+BOUNDARY_VECTOR = MomentVector(1.0, -1.3523981934326912e-10, 1.7166953307576283, -6.964968601863575e-10, 2.947042858645043)
+
+
+@given(st.one_of(moment_vectors(), boundary_laws().map(moments_from_discrete)))
 @example(MomentVector(1.0, 0.0, 1e-320, 5e-9, 1.0))  # m3 far outside its interval of +-1e-160
+@example(BOUNDARY_VECTOR)  # PSD, Var X^2 near 0
 def test_psd_iff_variances_and_m3_interval(mv):
     # PSD iff Var X and Var X^2 of X / s are at least -tol and m3 lies in
     # m3_interval widened by tol s^3; a band of 1e-11 s^3 around the widened
@@ -152,6 +196,7 @@ def test_psd_iff_variances_and_m3_interval(mv):
 
 @given(moment_vectors(), st.floats(-6.0, 6.0))
 @example(MomentVector(1.0, 0.0, 1e-320, 5e-9, 1.0), 6.0)
+@example(BOUNDARY_VECTOR, 6.0)
 @example(MomentVector(1.0, 0.0, 1e-320, 5e-9, 1.0), -6.0)
 def test_psd_margin_and_certificate_are_scale_free(mv, exponent):
     scaled = scale_moments(mv, 10.0**exponent)
