@@ -24,7 +24,7 @@ for x, p in secret.atoms:
     print(f"  x = {x:+.4f}   p = {p:.6f}")
 
 mv = moments_from_discrete(secret)
-print(f"\npublished moments: {mv.as_tuple()}")
+print(f"\npublished moments: {tuple(mv)}")
 
 print("\nHankel matrix:")
 print(np.array_str(np.array(hankel(mv)), precision=6))

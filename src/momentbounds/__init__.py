@@ -28,11 +28,8 @@ _ORACLE_NAMES = (
     "CertificateError",
     "OracleConfig",
     "OracleResult",
-    "LPSolution",
     "FalsifierReport",
     "ReplayedTrial",
-    "lp_max",
-    "check_certificate",
     "oracle_max_m3",
     "oracle_extreme_m3_given",
     "random_falsifier",

@@ -163,9 +163,6 @@ class MomentVector(namedtuple("MomentVector", "m0 m1 m2 m3 m4")):
 
     __delattr__ = __setattr__
 
-    def as_tuple(self) -> tuple[float, float, float, float, float]:
-        return tuple(self)
-
 
 class DiscreteDistribution(namedtuple("DiscreteDistribution", "atoms")):
     """Finitely many atoms (x, p) with p > 0 summing to 1.
@@ -275,6 +272,9 @@ class FeasibilityReport(namedtuple("FeasibilityReport", "psd scale covariance ma
     ``scale`` is the standardization scale s = m4^(1/4), ``covariance`` the
     (a, b, c) of X / s (see ``covariance``) and ``margin`` the least of a, b
     and r - |c| (r = ``cov_radius``), plus ``psd_tol(m4)``: psd iff margin >= 0.
+    The margin's last digits move with scale where b is near 0: for the
+    equal-weight law on -0.9999 and 1.00001 it is 1.1589264143734854e-10 at
+    lam = 1 and 1.1791113760671143e-10 at lam = 10, both psd.
     PSD-ness is a necessary condition for a representing distribution to
     exist; sufficiency (rank conditions of the truncated moment problem)
     is not certified here.

@@ -3,10 +3,11 @@
 ``oracle_max_m3`` maximizes m3 over grid distributions under mass, mean and
 fourth-moment constraints; ``oracle_extreme_m3_given`` finds the range of
 m3 given (m1, m2, m4).  Both are linear programs in the grid weights,
-solved by one simplex kernel (``lp_max``), and LP duality certifies each
-optimum before it is returned (Karlin & Studden 1966, Tchebycheff
-Systems).  Neither consults the closed forms, which makes them an
-independent check of the sharp constant (4/27)^(1/4).
+solved through one entry point (``lp_max``), which runs phase 1 once and
+phase 2 per objective.  LP duality certifies each optimum before it is
+returned (Karlin & Studden 1966, Tchebycheff Systems).  Neither consults
+the closed forms, which makes them an independent check of the sharp
+constant (4/27)^(1/4).
 
 ``random_falsifier`` hammers the bounds with random discrete distributions,
 drawn and evaluated in bulk, and counts violations (expected: none).
@@ -35,7 +36,7 @@ from .moments import (
 __all__ = list(_ORACLE_NAMES)
 
 #: Basic weights at or below this are round-off of a degenerate vertex
-#: (``_phase2`` checks that they carry no row).
+#: (``lp_max`` checks that they carry no row).
 WEIGHT_CLAMP = 1e-12
 
 #: Relative round-off allowed in pricing (simplex) and in the certificate.
@@ -185,67 +186,47 @@ def _simplex(AT, abs_at, b, c, basis, n):
             raise CertificateError("simplex iteration limit reached")
 
 
-class _Start(namedtuple("_Start", "AT abs_at b rows basis pivots priced")):
-    """A scaled LP with the feasible basis phase 1 found for it: AT = A.T with
-    A's rows scaled and artificial columns appended, |AT| without them, b,
-    the row scales, the basis (a list), and the pivots and columns priced."""
+def lp_max(A: np.ndarray, b: np.ndarray, *costs: np.ndarray) -> list[LPSolution] | None:
+    """Maximize each c in ``costs`` over A @ x = b, x >= 0: one LPSolution per
+    objective ([] for none, the feasibility test); None if infeasible, or if
+    an optimum needs weights at or below WEIGHT_CLAMP.
 
-    __slots__ = ()
-
-
-def _phase1(A: np.ndarray, b: np.ndarray) -> _Start | None:
-    """Scale the rows of A x = b to unit magnitude (b nonnegative) and find a
-    feasible basis by minimizing the sum of artificial columns; None if
-    infeasible.  Depends on (A, b) only, so one start serves any objective.
-    An artificial left basic must be within CERTIFICATE_TOL times its own
-    row's right-hand side (1 where that is 0): a small target left uncovered
-    is not met (m2 = 1e-10, m4 = 1e-19 on the default grid)."""
+    Dense two-phase revised simplex.  Rows are scaled to unit magnitude (b
+    nonnegative); phase 1 minimizes the sum of artificial columns, once for all
+    objectives.  An artificial left basic must be within CERTIFICATE_TOL times
+    its row's right-hand side (1 where that is 0): a small target left
+    uncovered is not met (m2 = 1e-10, m4 = 1e-19 on the default grid).  Phase 2
+    runs from that basis per objective, scaled to unit magnitude; an artificial
+    still basic at its end sits at zero on a redundant row (dual 0).  Basic
+    weights at or below WEIGHT_CLAMP are dropped; None if they carry more than
+    CERTIFICATE_TOL of a row's terms (5e-309 on x = 1e77 for m4 = 1).  Weights
+    and duals are solved from the final basis: through an explicit inverse, a
+    weight of 9e-13 read -7.1e-9 on a basis of condition 4e5.  Deterministic.
+    """
     m, n = A.shape
     row_max = np.abs(A).max(axis=1)
     rows = np.where(b < 0.0, -1.0, 1.0) / np.where(row_max > 0.0, row_max, 1.0)
     AT, b1 = np.vstack([A.T * rows, np.eye(m)]), b * rows
     abs_at = np.abs(AT[:n])
-    basis = list(range(n, n + m))
-    pivots, priced = _simplex(AT, abs_at, b1, np.r_[np.zeros(n), -np.ones(m)], basis, n)
-    if any(v > CERTIFICATE_TOL * (b1[j - n] or 1.0) for v, j in zip(np.linalg.solve(AT[basis].T, b1), basis) if j >= n):
+    start = list(range(n, n + m))
+    pivots1, priced1 = _simplex(AT, abs_at, b1, np.r_[np.zeros(n), -np.ones(m)], start, n)
+    if any(v > CERTIFICATE_TOL * (b1[j - n] or 1.0) for v, j in zip(np.linalg.solve(AT[start].T, b1), start) if j >= n):
         return None
-    return _Start(AT, abs_at, b1, rows, basis, pivots, priced)
-
-
-def _phase2(start: _Start, c: np.ndarray) -> LPSolution | None:
-    """Maximize c @ x from the phase-1 basis of ``start`` (left unchanged);
-    the objective is scaled to unit magnitude first.  Basic weights at or
-    below WEIGHT_CLAMP are dropped; None if they carry more than
-    CERTIFICATE_TOL of a row's terms (5e-309 on x = 1e77 for m4 = 1).
-    Weights and duals are solved from the final basis: through an explicit
-    inverse, a weight of 9e-13 read -7.1e-9 on a basis of condition 4e5."""
-    abs_at, b1, rows, basis = start.abs_at, start.b, start.rows, list(start.basis)
-    n = len(c)
-    size_c = max(np.abs(c).max(), np.finfo(float).tiny)
-    c1 = np.r_[c / size_c, np.zeros(len(b1))]
-    pivots, priced = _simplex(start.AT, abs_at, b1, c1, basis, n)
-    B = start.AT[basis].T
-    x = np.zeros(len(c1))
-    x[basis] = np.linalg.solve(B, b1)
-    kept = np.where(x[:n] > WEIGHT_CLAMP, x[:n], 0.0)
-    if (np.abs(x[:n] - kept) @ abs_at > CERTIFICATE_TOL * (kept @ abs_at + b1)).any():
-        return None
-    y = np.linalg.solve(B.T, c1[basis]) * rows * size_c
-    return LPSolution(kept, y, start.pivots + pivots, start.priced + priced)
-
-
-def lp_max(A: np.ndarray, b: np.ndarray, c: np.ndarray) -> LPSolution | None:
-    """Maximize c @ x subject to A @ x = b, x >= 0; None if infeasible, or
-    if the optimum needs weights at or below WEIGHT_CLAMP.
-
-    Dense two-phase revised simplex: phase 1 minimizes the sum of artificial
-    columns, phase 2 starts from its basis.  An artificial still basic at
-    the end sits at zero on a redundant row, whose dual is 0.  Rows and the
-    objective are scaled to unit magnitude first (and b made nonnegative),
-    so the tolerances are relative.  Deterministic.
-    """
-    start = _phase1(A, b)
-    return None if start is None else _phase2(start, c)
+    solutions = []
+    for c in costs:
+        basis = list(start)
+        size_c = max(np.abs(c).max(), np.finfo(float).tiny)
+        c1 = np.r_[c / size_c, np.zeros(m)]
+        pivots, priced = _simplex(AT, abs_at, b1, c1, basis, n)
+        B = AT[basis].T
+        x = np.zeros(n + m)
+        x[basis] = np.linalg.solve(B, b1)
+        kept = np.where(x[:n] > WEIGHT_CLAMP, x[:n], 0.0)
+        if (np.abs(x[:n] - kept) @ abs_at > CERTIFICATE_TOL * (kept @ abs_at + b1)).any():
+            return None
+        y = np.linalg.solve(B.T, c1[basis]) * rows * size_c
+        solutions.append(LPSolution(kept, y, pivots1 + pivots, priced1 + priced))
+    return solutions
 
 
 def check_certificate(A, b, c, x, y) -> None:
@@ -295,9 +276,10 @@ def oracle_max_m3(cfg: OracleConfig) -> OracleResult:
     A = np.hstack([np.vstack([np.ones_like(z), z, z**4]), [[0.0], [1.0], [0.0]]])
     b = np.array([1.0, 0.0, cfg.m4_target / s / s / s / s])
     c = np.r_[z**3, 0.0]
-    sol = lp_max(A, b, c)
-    if sol is None:
+    found = lp_max(A, b, c)
+    if found is None:
         raise InfeasibleMomentsError("infeasible configuration")
+    sol, = found
     # a basic mean-row slack makes y1 = 0 up to round-off; any y that passes proves the optimum
     sol.y[1] = max(sol.y[1], 0.0)
     check_certificate(A, b, c, sol.x, sol.y)
@@ -380,15 +362,13 @@ def oracle_extreme_m3_given(
     A = np.vstack([np.ones_like(z), z, z**2, z**4])
     b = np.array([1.0, m1 / s, m2 / s / s, m4 / s / s / s / s])
     c = z**3
-    start = _phase1(A, b)
-    if start is None:
+    costs = (-c, c)
+    found = lp_max(A, b, *costs)
+    if found is None:
         raise InfeasibleMomentsError("grid cannot represent the moment triple")
     ends = []
-    for sign in (-1.0, 1.0):
-        sol = _phase2(start, sign * c)
-        if sol is None:
-            raise InfeasibleMomentsError("grid cannot represent the moment triple")
-        check_certificate(A, b, sign * c, sol.x, sol.y)
+    for cost, sol in zip(costs, found):
+        check_certificate(A, b, cost, sol.x, sol.y)
         support = np.flatnonzero(sol.x)
         ends.append(math.fsum(c[support] * sol.x[support]) * (s * s * s))
     return ends[0], ends[1]

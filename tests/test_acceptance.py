@@ -166,7 +166,7 @@ def test_criterion_7_scale_covariance(capsys):
             DiscreteDistribution.from_pairs((-x, p) for x, p in d.atoms)
         )
         expected = scale_moments(mv, -1.0)
-        for a, b in zip(flipped.as_tuple(), expected.as_tuple()):
+        for a, b in zip(tuple(flipped), tuple(expected)):
             if abs(a - b) > 1e-12 * max(1.0, abs(a)):
                 worst = max(worst, 1.0)
     ok = worst <= 1e-12
@@ -205,7 +205,7 @@ def test_criterion_7_wide_scale_invariance_of_verdicts(capsys):
                 outputs.append(certificate_from_hankel(mv).recovered)
             for law in outputs:
                 got = moments_from_discrete(law)
-                err = max(abs(a - b) / s**j for j, (a, b) in enumerate(zip(got.as_tuple(), mv.as_tuple())))
+                err = max(abs(a - b) / s**j for j, (a, b) in enumerate(zip(tuple(got), tuple(mv))))
                 worst = max(worst, err)
     ok = not misses and worst <= 1e-10
     with capsys.disabled():

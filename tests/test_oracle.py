@@ -12,8 +12,6 @@ from momentbounds import (
     OracleConfig,
     bound_quarter,
     bound_sqrt,
-    check_certificate,
-    lp_max,
     m3_interval,
     moments_from_discrete,
     oracle_extreme_m3_given,
@@ -23,6 +21,7 @@ from momentbounds import (
     two_point_zero_mean,
 )
 from momentbounds import oracle
+from momentbounds.oracle import check_certificate, lp_max
 from conftest import tol_scale
 
 
@@ -196,7 +195,7 @@ class TestOracleMaxM3:
         exact = max(basic_feasible_values(columns, costs, rhs))
         A, b, c = certificate_parts(cfg)
         b[1] = m1_max
-        sol = lp_max(A, b, c)
+        sol, = lp_max(A, b, c)
         check_certificate(A, b, c, sol.x, sol.y)
         assert c @ sol.x == pytest.approx(float(exact), abs=1e-12)
         if m1_max == 0.0:
@@ -253,7 +252,7 @@ class TestOracleMaxM3:
 
     def test_tampered_dual_fails_certificate(self):
         A, b, c = certificate_parts(COARSE)
-        sol = lp_max(A, b, c)
+        sol, = lp_max(A, b, c)
         check_certificate(A, b, c, sol.x, sol.y)
         lowered = sol.y - np.array([1e-6, 0.0, 0.0])  # below x^3 at the support
         with pytest.raises(CertificateError, match="dual"):
@@ -272,14 +271,13 @@ class TestOracleMaxM3:
             lp_max(np.array([[1.0, -1.0]]), np.array([0.0]), np.array([1.0, 0.0]))
 
     def test_oracle_refuses_uncertified_optimum(self, monkeypatch):
-        # phase 2 of the simplex returns every optimum the oracles certify
-        solve = oracle._phase2
+        # lp_max returns every optimum the oracles certify
+        solve = oracle.lp_max
 
-        def tampered(start, c):
-            sol = solve(start, c)
-            return sol._replace(y=sol.y * 0.5)
+        def tampered(A, b, *costs):
+            return [sol._replace(y=sol.y * 0.5) for sol in solve(A, b, *costs)]
 
-        monkeypatch.setattr(oracle, "_phase2", tampered)
+        monkeypatch.setattr(oracle, "lp_max", tampered)
         with pytest.raises(CertificateError):
             oracle_max_m3(COARSE)
         with pytest.raises(CertificateError):
@@ -444,10 +442,24 @@ class TestOracleExtremeGiven:
         A = np.vstack([np.ones_like(g), g, g**2, g**4])
         b = np.array([1.0, 0.0, 2.0, 6.0])
         c = -(g**3)
-        sol = lp_max(A, b, c)
+        sol, = lp_max(A, b, c)
         check_certificate(A, b, c, sol.x, sol.y)
         assert sol.pivots <= 40
         assert c @ sol.x == pytest.approx(2.0, abs=1e-9)
+
+    def test_one_phase_one_serves_every_objective(self):
+        # the two ends of the (0, 2, 6) range from one call, bit for bit as from two
+        g = OracleConfig().grid()
+        A = np.vstack([np.ones_like(g), g, g**2, g**4])
+        b = np.array([1.0, 0.0, 2.0, 6.0])
+        c = g**3
+        both = lp_max(A, b, -c, c)
+        apart = [lp_max(A, b, -c)[0], lp_max(A, b, c)[0]]
+        assert len(both) == 2
+        for one, other in zip(both, apart):
+            assert one.x.tobytes() == other.x.tobytes() and one.y.tobytes() == other.y.tobytes()
+            assert (one.pivots, one.priced) == (other.pivots, other.priced)
+        assert lp_max(A, b) == []
 
     def test_exact_grid_pair(self):
         # (0, 2, 6) comes from the zero-mean distribution on {-1, 2}
@@ -462,6 +474,13 @@ class TestOracleExtremeGiven:
             ((0.0, 1.4877671822436702, 2.228200102321356), 0.0002809565332656919, 0.1481315289396473),
             ((0.0, 0.9827057192101795, 1.1874899655562605), 0.0001640713764171574, -0.466844641359175),
             ((0.0, 0.36944713389595446, 2.492680868064312), 0.00017262554597095278, -0.9329992097627593),
+            # the law on -2.2026053314390723 and 2.202982740960654: its optimal
+            # basis has condition 6.5e7, and the solved weights of its two
+            # degenerate columns are -1.6e-9, past the clamp check
+            pytest.param(
+                (0.0, 4.852301530308198, 23.54483083218314), 0.0006988559759517332, 0.0018313047991247444,
+                marks=pytest.mark.xfail(strict=True, raises=InfeasibleMomentsError),
+            ),
         ],
     )
     def test_fine_grid_pair_is_represented(self, triple, step, m3):
@@ -493,7 +512,7 @@ class TestOracleExtremeGiven:
         # with the m2 row's artificial at its whole (scaled) target 1.1e-11
         g = OracleConfig().grid()
         A, b = np.vstack([np.ones_like(g), g, g**2, g**4]), np.array([1.0, 0.0, 1e-10, 1e-19])
-        assert oracle._phase1(A, b) is None
+        assert lp_max(A, b) is None
         with pytest.raises(InfeasibleMomentsError, match="grid cannot represent"):
             oracle_extreme_m3_given(0.0, 1e-10, 1e-19, OracleConfig())
 
@@ -560,7 +579,7 @@ class TestRandomFalsifier:
         trial = replay_trial(9, rep.worst_trial)
         assert trial.scaled_margin == rep.worst_scaled_slack
         law = moments_from_discrete(trial.law)
-        for a, b in zip(law.as_tuple(), trial.moments.as_tuple()):
+        for a, b in zip(tuple(law), tuple(trial.moments)):
             assert a == pytest.approx(b, rel=1e-12, abs=1e-15)
         mv = trial.moments
         iv = m3_interval(mv.m1, mv.m2, mv.m4)

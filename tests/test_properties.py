@@ -138,7 +138,7 @@ def test_scale_covariance(d, lam):
         DiscreteDistribution.from_pairs((lam * x, p) for x, p in d.atoms)
     )
     expected = scale_moments(mv, lam)
-    for a, b in zip(expected.as_tuple(), scaled_atoms.as_tuple()):
+    for a, b in zip(tuple(expected), tuple(scaled_atoms)):
         assert abs(a - b) <= 1e-12 * max(1.0, abs(a))
 
 
@@ -241,5 +241,5 @@ def test_sample_moments_are_those_of_the_empirical_law(xs):
     n = len(xs)
     law = DiscreteDistribution.from_pairs((x, 1.0 / n) for x in xs)
     direct, via_law = moments_from_samples(xs), moments_from_discrete(law)
-    assert direct.as_tuple() == via_law.as_tuple()
+    assert tuple(direct) == tuple(via_law)
     assert list(map(float.hex, direct)) == list(map(float.hex, via_law))

@@ -13,7 +13,6 @@ from momentbounds import (
     FalsifierReport,
     FeasibilityReport,
     InfeasibleMomentsError,
-    LPSolution,
     MomentInterval,
     MomentVector,
     OracleConfig,
@@ -28,6 +27,7 @@ from momentbounds import (
     replay_trial,
 )
 from momentbounds import oracle
+from momentbounds.oracle import LPSolution
 
 MV = MomentVector(1, 0, 2, 2, 6)
 
@@ -35,7 +35,6 @@ MV = MomentVector(1, 0, 2, 2, 6)
 def records():
     """One instance of each record type, oracle ones included."""
     cfg = OracleConfig(grid_lo=-2.0, grid_hi=2.0, grid_step=0.5)
-    start = oracle._phase1(np.eye(2), np.ones(2))
     return [
         MV,
         DiscreteDistribution.point_mass(1.0),
@@ -47,8 +46,7 @@ def records():
         oracle_max_m3(cfg),
         random_falsifier(3, 0),
         replay_trial(0, 1),
-        oracle.lp_max(np.eye(2), np.ones(2), np.ones(2)),
-        start,
+        oracle.lp_max(np.eye(2), np.ones(2), np.ones(2))[0],
     ]
 
 
@@ -68,7 +66,7 @@ def test_fields_cannot_be_assigned_or_deleted(record):
 def test_every_record_type_is_covered():
     types = {MomentVector, DiscreteDistribution, FeasibilityReport, BoundResult,
                 MomentInterval, Certificate, OracleConfig, OracleResult, FalsifierReport,
-                LPSolution, ReplayedTrial, oracle._Start}
+                LPSolution, ReplayedTrial}
     assert {type(r) for r in records()} == types
 
 
@@ -89,7 +87,7 @@ def test_moment_vector_computed_attributes_are_frozen():
 def test_moment_vector_is_a_tuple_of_the_five_moments():
     mv = MomentVector(1, -2.0, 16.0, 8.0, 256.0)
     m0, m1, m2, m3, m4 = mv
-    assert (m0, m1, m2, m3, m4) == mv == (1.0, -2.0, 16.0, 8.0, 256.0) == mv.as_tuple()
+    assert (m0, m1, m2, m3, m4) == mv == (1.0, -2.0, 16.0, 8.0, 256.0) == tuple(mv)
     assert mv._asdict() == {"m0": 1.0, "m1": -2.0, "m2": 16.0, "m3": 8.0, "m4": 256.0}
     assert hash(mv) == hash(MomentVector(1, -2.0, 16.0, 8.0, 256.0))
 
