@@ -88,10 +88,6 @@ class MomentInterval(namedtuple("MomentInterval", "lo hi")):
 
     __slots__ = ()
 
-    def contains(self, m3: float, widen: float = 0.0) -> bool:
-        """lo - widen <= m3 <= hi + widen; elementwise when the fields are arrays."""
-        return (self.lo - widen <= m3) & (m3 <= self.hi + widen)
-
 
 class Certificate(namedtuple("Certificate", "coeffs roots recovered")):
     """Null vector of a singular Hankel matrix and the distribution it pins down.

@@ -211,12 +211,12 @@ def cmd_extremal(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
 
 def cmd_verify(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
     try:
-        from .oracle import OracleConfig, oracle_max_m3, random_falsifier
+        from .oracle import MAX_TRIALS, OracleConfig, oracle_max_m3, random_falsifier
     except ImportError as exc:  # numpy is missing or broken; the other commands do not need it
         raise ValueError(f"verify needs numpy, which failed to import ({exc}); install it with: pip install numpy") from None
 
-    if args.trials <= 0:
-        raise ValueError("trials must be positive")
+    if not 0 < args.trials <= MAX_TRIALS:  # as random_falsifier requires, checked before the oracle runs
+        raise ValueError(f"trials must be in 1..{MAX_TRIALS}")
     cfg = OracleConfig(
         grid_lo=args.grid_lo,
         grid_hi=args.grid_hi,

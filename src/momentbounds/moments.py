@@ -200,10 +200,6 @@ class DiscreteDistribution(namedtuple("DiscreteDistribution", "atoms")):
     def from_pairs(cls, pairs: Iterable[tuple[float, float]]) -> DiscreteDistribution:
         return cls(tuple(pairs))
 
-    @classmethod
-    def point_mass(cls, x: float) -> DiscreteDistribution:
-        return cls(((x, 1.0),))
-
 
 def _raw_moments(xs, ws) -> MomentVector:
     """Moments m_j = sum_i w_i x_i^j of atoms xs with weights ws, each a

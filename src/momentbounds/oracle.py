@@ -3,11 +3,12 @@
 ``oracle_max_m3`` maximizes m3 over grid distributions under mass, mean and
 fourth-moment constraints; ``oracle_extreme_m3_given`` finds the range of
 m3 given (m1, m2, m4).  Both are linear programs in the grid weights,
-solved through one entry point (``lp_max``), which runs phase 1 once and
-phase 2 per objective.  LP duality certifies each optimum before it is
-returned (Karlin & Studden 1966, Tchebycheff Systems).  Neither consults
-the closed forms, which makes them an independent check of the sharp
-constant (4/27)^(1/4).
+and ``lp_max`` is their one judge: it runs phase 1 once, which decides
+feasibility, and phase 2 per objective, and it certifies each optimum by LP
+duality before it returns it (Karlin & Studden 1966, Tchebycheff Systems).
+Any grid is accepted, one-sided grids included: the LP decides.  Neither
+oracle consults the closed forms, which makes them an independent check of
+the sharp constant (4/27)^(1/4).
 
 ``random_falsifier`` hammers the bounds with random discrete distributions,
 drawn and evaluated in bulk, and counts violations (expected: none).
@@ -65,6 +66,10 @@ MAX_PAIR_GRID_POINTS = 1_201
 FALSIFIER_CHUNK = 4096
 LISTED_VIOLATIONS = 10
 
+#: Most trials in one falsifier call, refused before anything is allocated:
+#: 10**8 take ~22 s at ~0.22 us per trial (1e6 in 0.22 s; 2-CPU x86-64, numpy 2.4).
+MAX_TRIALS = 10**8
+
 #: Most atoms in one falsifier trial, and the cut, in units of s^3, below
 #: which a missed bound or interval end counts as a violation.
 FALSIFIER_ATOMS = 8
@@ -75,7 +80,8 @@ class OracleConfig(namedtuple("OracleConfig", "grid_lo grid_hi grid_step m4_targ
     """Grid and constraint parameters of the oracles.
 
     ``max_support=2`` restricts ``oracle_max_m3`` to pairs of grid points.
-    Oversized grids are rejected before anything is allocated.
+    Oversized grids are rejected before anything is allocated; whether a grid
+    (one-sided or not) meets the constraints is left to the oracles.
     """
 
     __slots__ = ()
@@ -101,10 +107,6 @@ class OracleConfig(namedtuple("OracleConfig", "grid_lo grid_hi grid_step m4_targ
         big = max(big, big / _scale(self))  # pairs take x^4, the LPs (x / s)^4
         if big * big * big * big == math.inf:
             raise OverflowError("grid points whose fourth power is beyond double range")
-        if not (grid_lo < 0.0 and top > 0.0):
-            raise InfeasibleMomentsError(
-                "infeasible configuration: grid needs negative and positive points"
-            )
         return self
 
     _make = classmethod(_validated_make)
@@ -188,26 +190,36 @@ def _simplex(AT, abs_at, b, c, basis, n):
 
 def lp_max(A: np.ndarray, b: np.ndarray, *costs: np.ndarray) -> list[LPSolution] | None:
     """Maximize each c in ``costs`` over A @ x = b, x >= 0: one LPSolution per
-    objective ([] for none, the feasibility test); None if infeasible, or if
-    an optimum needs weights at or below WEIGHT_CLAMP.
+    objective ([] for none, the feasibility test), each proved optimal by
+    ``check_certificate`` (CertificateError if not); None if infeasible.
 
     Dense two-phase revised simplex.  Rows are scaled to unit magnitude (b
-    nonnegative); phase 1 minimizes the sum of artificial columns, once for all
-    objectives.  An artificial left basic must be within CERTIFICATE_TOL times
-    its row's right-hand side (1 where that is 0): a small target left
-    uncovered is not met (m2 = 1e-10, m4 = 1e-19 on the default grid).  Phase 2
-    runs from that basis per objective, scaled to unit magnitude; an artificial
-    still basic at its end sits at zero on a redundant row (dual 0).  Basic
-    weights at or below WEIGHT_CLAMP are dropped; None if they carry more than
-    CERTIFICATE_TOL of a row's terms (5e-309 on x = 1e77 for m4 = 1).  Weights
-    and duals are solved from the final basis: through an explicit inverse, a
-    weight of 9e-13 read -7.1e-9 on a basis of condition 4e5.  Deterministic.
+    nonnegative); None if one cannot be (its largest entry subnormal, or b
+    beyond double range in units of it).  Phase 1 minimizes the sum of
+    artificial columns, once for all objectives.  An artificial left basic
+    must be within CERTIFICATE_TOL times its row's right-hand side (1 where
+    that is 0): a small target left uncovered is not met (m2 = 1e-10,
+    m4 = 1e-19 on the default grid).  Phase 2 runs from that basis per
+    objective, scaled to unit magnitude; an artificial still basic at its end
+    sits at zero on a redundant row (dual 0).  Basic weights at or below
+    WEIGHT_CLAMP are dropped; None if they carry more than CERTIFICATE_TOL of
+    a row's terms (5e-309 on x = 1e77 for m4 = 1).  Weights and duals are
+    solved from the final basis: through an explicit inverse, a weight of
+    9e-13 read -7.1e-9 on a basis of condition 4e5.  A zero-cost column with
+    one nonzero entry makes its row's dual constraint a sign constraint (the
+    mean-row slack of ``oracle_max_m3``, a grid point at x = 0): a dual of the
+    wrong sign there is round-off, and is set to 0.  Deterministic.
     """
     m, n = A.shape
-    row_max = np.abs(A).max(axis=1)
-    rows = np.where(b < 0.0, -1.0, 1.0) / np.where(row_max > 0.0, row_max, 1.0)
-    AT, b1 = np.vstack([A.T * rows, np.eye(m)]), b * rows
+    row_max, tiny = np.abs(A).max(axis=1), np.finfo(float).tiny
+    rows = np.where(b < 0.0, -1.0, 1.0) / np.where(row_max >= tiny, row_max, 1.0)
+    with np.errstate(over="ignore"):
+        b1 = b * rows
+    if ((row_max > 0.0) & (row_max < tiny)).any() or not np.isfinite(b1).all():
+        return None
+    AT = np.vstack([A.T * rows, np.eye(m)])
     abs_at = np.abs(AT[:n])
+    lone = np.count_nonzero(A, axis=0) == 1
     start = list(range(n, n + m))
     pivots1, priced1 = _simplex(AT, abs_at, b1, np.r_[np.zeros(n), -np.ones(m)], start, n)
     if any(v > CERTIFICATE_TOL * (b1[j - n] or 1.0) for v, j in zip(np.linalg.solve(AT[start].T, b1), start) if j >= n):
@@ -215,7 +227,7 @@ def lp_max(A: np.ndarray, b: np.ndarray, *costs: np.ndarray) -> list[LPSolution]
     solutions = []
     for c in costs:
         basis = list(start)
-        size_c = max(np.abs(c).max(), np.finfo(float).tiny)
+        size_c = max(np.abs(c).max(), tiny)
         c1 = np.r_[c / size_c, np.zeros(m)]
         pivots, priced = _simplex(AT, abs_at, b1, c1, basis, n)
         B = AT[basis].T
@@ -225,6 +237,8 @@ def lp_max(A: np.ndarray, b: np.ndarray, *costs: np.ndarray) -> list[LPSolution]
         if (np.abs(x[:n] - kept) @ abs_at > CERTIFICATE_TOL * (kept @ abs_at + b1)).any():
             return None
         y = np.linalg.solve(B.T, c1[basis]) * rows * size_c
+        y[(A[:, lone & (c == 0.0)] * y[:, None] < 0.0).any(axis=1)] = 0.0
+        check_certificate(A, b, c, kept, y)
         solutions.append(LPSolution(kept, y, pivots1 + pivots, priced1 + priced))
     return solutions
 
@@ -263,10 +277,10 @@ def _result(cfg: OracleConfig, xs, ps, m3: float, examined: int, **lp) -> Oracle
 def oracle_max_m3(cfg: OracleConfig) -> OracleResult:
     """Maximize m3 over grid distributions with sum p = 1, m1 <= 0, m4 = m4_target.
 
-    One certified LP: rows mass, mean (plus a slack column) and m4, a
-    column per grid point.  It is solved for X / s (see ``_scale``), and
-    m3 and the dual are scaled back.  ``max_support=2`` prices pairs
-    instead.
+    One LP, certified by ``lp_max``: rows mass, mean (plus a slack column,
+    whose dual y1 is held at 0 or above by the sign rule) and m4, a column
+    per grid point.  It is solved for X / s (see ``_scale``), and m3 and the
+    dual are scaled back.  ``max_support=2`` prices pairs instead.
     """
     g = cfg.grid()
     if cfg.max_support == 2:
@@ -280,9 +294,6 @@ def oracle_max_m3(cfg: OracleConfig) -> OracleResult:
     if found is None:
         raise InfeasibleMomentsError("infeasible configuration")
     sol, = found
-    # a basic mean-row slack makes y1 = 0 up to round-off; any y that passes proves the optimum
-    sol.y[1] = max(sol.y[1], 0.0)
-    check_certificate(A, b, c, sol.x, sol.y)
     support = np.flatnonzero(sol.x[:-1])
     m3 = math.fsum(c[support] * sol.x[support]) * (s * s * s)
     y0, y1, y2 = (float(v) for v in sol.y)
@@ -351,9 +362,9 @@ def oracle_extreme_m3_given(
 ) -> tuple[float, float]:
     """Min and max of m3 over grid distributions matching (m1, m2, m4) exactly.
 
-    Two certified LPs (max m3, max -m3) with rows mass, m1, m2 and m4,
-    solved for X / s (see ``_scale``) from one phase-1 basis; the range
-    lies inside ``m3_interval`` and fills it as the grid is refined.
+    Two LPs (max m3, max -m3), certified by ``lp_max``, with rows mass, m1,
+    m2 and m4, solved for X / s (see ``_scale``) from one phase-1 basis; the
+    range lies inside ``m3_interval`` and fills it as the grid is refined.
     """
     if not all(math.isfinite(v) for v in (m1, m2, m4)):
         raise ValueError("non-finite moment")
@@ -362,16 +373,11 @@ def oracle_extreme_m3_given(
     A = np.vstack([np.ones_like(z), z, z**2, z**4])
     b = np.array([1.0, m1 / s, m2 / s / s, m4 / s / s / s / s])
     c = z**3
-    costs = (-c, c)
-    found = lp_max(A, b, *costs)
+    found = lp_max(A, b, -c, c)
     if found is None:
         raise InfeasibleMomentsError("grid cannot represent the moment triple")
-    ends = []
-    for cost, sol in zip(costs, found):
-        check_certificate(A, b, cost, sol.x, sol.y)
-        support = np.flatnonzero(sol.x)
-        ends.append(math.fsum(c[support] * sol.x[support]) * (s * s * s))
-    return ends[0], ends[1]
+    lo, hi = (math.fsum(c[sol.x > 0.0] * sol.x[sol.x > 0.0]) * (s * s * s) for sol in found)
+    return lo, hi
 
 
 class FalsifierReport(namedtuple("FalsifierReport", "trials eq_sqrt_violations eq_quarter_violations interval_violations "
@@ -524,11 +530,12 @@ def random_falsifier(trials: int, seed: int) -> FalsifierReport:
     Each trial draws up to FALSIFIER_ATOMS atoms (see ``_trial_laws``).  A
     bound or interval end is violated when it is missed by more than
     FALSIFIER_TOL s^3, s = m4^(1/4), the unit of ``BoundResult.scaled_slack``.
-    Trials go in chunks of FALSIFIER_CHUNK through one workspace; the
-    result is the same for any chunk size and fully reproducible from ``seed``.
+    Trials, at most MAX_TRIALS, go in chunks of FALSIFIER_CHUNK through one
+    workspace; the result is the same for any chunk size and fully
+    reproducible from ``seed``.
     """
-    if trials <= 0:
-        raise ValueError("trials must be positive")
+    if not 0 < trials <= MAX_TRIALS:
+        raise ValueError(f"trials must be in 1..{MAX_TRIALS}")
     rng = _stream(seed)
     work = _workspace(min(FALSIFIER_CHUNK, trials))
     counts = np.zeros(4, dtype=np.int64)

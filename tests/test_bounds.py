@@ -410,7 +410,7 @@ class TestScaleFreeVerdicts:
 
     def test_certificate_of_point_mass_is_rank_one(self):
         for c in (-3.0, 1e-5, 7e20):
-            cert = certificate_from_hankel(moments_from_discrete(DiscreteDistribution.point_mass(c)))
+            cert = certificate_from_hankel(moments_from_discrete(DiscreteDistribution(((c, 1.0),))))
             assert cert.roots == pytest.approx((c,), rel=1e-12)
             assert cert.recovered.atoms[0][0] == pytest.approx(c, rel=1e-12)
             a0, a1, a2 = cert.coeffs

@@ -465,6 +465,31 @@ class TestVerifyCommand:
         code, _, err = run(capsys, "verify", "--trials", "0")
         assert code == 2
 
+    def test_trials_above_cap_exit_2_before_the_oracle(self, capsys, monkeypatch):
+        monkeypatch.setattr(oracle, "oracle_max_m3", None)  # the oracle may not run
+        code, report, err = run(capsys, "verify", "--trials", "1000000000000")
+        assert (code, report) == (2, None)
+        assert err == f"momentbounds: trials must be in 1..{oracle.MAX_TRIALS}\n"
+
+    def test_one_sided_grid_is_a_failed_verification(self, capsys):
+        code, report, err = run(capsys, "verify", "--grid-lo", "-3", "--grid-hi", "-0.5", "--trials", "10")
+        assert (code, err) == (1, "")
+        assert report["verified"] is False and report["oracle_max_m3"] < 0.0
+
+    def test_weight_at_zero_is_certified(self, capsys):
+        argv = ["--grid-lo", "-3", "--grid-hi", "2.5", "--step", "0.5", "--m4", "0.0625", "--trials", "10"]
+        code, report, err = run(capsys, "verify", *argv)
+        assert (code, err) == (1, "")  # the gap of so coarse a grid, not the certificate
+        assert report["oracle_dual"] == [0.0, 0.3333333333333333, 0.6666666666666666]
+
+    def test_unscalable_rows_exit_3(self, capsys):
+        argv = ["--grid-lo", "-3e-91", "--grid-hi", "3e-91", "--step", "5e-93", "--m4", "1e-53", "--trials", "10"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, report, err = run(capsys, "verify", *argv)
+        assert (code, report) == (3, None)
+        assert err == "momentbounds: infeasible configuration\n"
+
 
 @pytest.mark.parametrize(
     "argv",

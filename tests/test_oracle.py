@@ -1,6 +1,8 @@
 import math
+import warnings
 from fractions import Fraction
 from itertools import combinations
+from random import Random
 
 import numpy as np
 import pytest
@@ -105,8 +107,20 @@ class TestOracleConfig:
             OracleConfig(m4_target=0.0)
 
     def test_one_sided_grid_infeasible(self):
-        with pytest.raises(InfeasibleMomentsError):
-            OracleConfig(grid_lo=-3.0, grid_hi=3.0, grid_step=10.0)
+        cfg = OracleConfig(grid_lo=-3.0, grid_hi=3.0, grid_step=10.0)  # the one point -3
+        for max_support in (2, 3):
+            with pytest.raises(InfeasibleMomentsError):
+                oracle_max_m3(cfg._replace(max_support=max_support))
+
+    def test_one_sided_grids_are_left_to_the_lp(self):
+        # all points negative: every law has m1 <= 0, and the best on [-3, -0.5] has negative m3
+        res = oracle_max_m3(OracleConfig(grid_lo=-3.0, grid_hi=-0.5))
+        assert res.max_m3 == -0.4362934362934363
+        assert res.argmax.atoms == ((-3.0, 0.011583011583011582), (-0.5, 0.9884169884169884))
+        assert oracle_max_m3(OracleConfig(grid_lo=-3.0, grid_hi=-0.5, max_support=2)).max_m3 == res.max_m3
+        # all points positive: (1.5, 2.5, 8.5) is the law on {1, 2}, with m3 = 4.5
+        lo, hi = oracle_extreme_m3_given(1.5, 2.5, 8.5, OracleConfig(grid_lo=0.5, grid_hi=3.0))
+        assert (lo, hi) == pytest.approx((4.455465288035451, 4.50000000000018), abs=1e-12)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -150,6 +164,21 @@ class TestOracleMaxM3:
             oracle_max_m3(
                 OracleConfig(grid_lo=-2.0, grid_hi=2.0, grid_step=0.5, m4_target=100.0)
             )
+
+    def test_weight_at_zero_certifies(self):
+        # the column of x = 0 is (1, 0, 0) at cost 0, so y0 >= 0: it came out
+        # as a round-off below 0, which the dual check on that column refused
+        res = oracle_max_m3(OracleConfig(grid_lo=-3.0, grid_hi=2.5, grid_step=0.5, m4_target=0.0625))
+        assert res.max_m3 == 0.04166666666666667
+        assert [x for x, _ in res.argmax.atoms] == [-0.5, 0.0, 1.0]
+        assert res.dual == (0.0, 0.3333333333333333, 0.6666666666666666)
+
+    def test_unscalable_rows_are_infeasible(self):
+        # (x / s)^4 is subnormal on this grid: its row cannot be scaled to unit size
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InfeasibleMomentsError):
+                oracle_max_m3(OracleConfig(grid_lo=-3e-91, grid_hi=3e-91, grid_step=5e-93, m4_target=1e-53))
 
     def test_never_exceeds_quarter_bound(self):
         res = oracle_max_m3(COARSE)
@@ -271,13 +300,15 @@ class TestOracleMaxM3:
             lp_max(np.array([[1.0, -1.0]]), np.array([0.0]), np.array([1.0, 0.0]))
 
     def test_oracle_refuses_uncertified_optimum(self, monkeypatch):
-        # lp_max returns every optimum the oracles certify
-        solve = oracle.lp_max
+        # lp_max certifies every optimum it returns: here phase 2 stops at its first basis
+        simplex = oracle._simplex
 
-        def tampered(A, b, *costs):
-            return [sol._replace(y=sol.y * 0.5) for sol in solve(A, b, *costs)]
+        def stopped(AT, abs_at, b, c, basis, n):
+            if c[n:].any():  # phase 1 prices the artificial columns
+                return simplex(AT, abs_at, b, c, basis, n)
+            return 0, 0
 
-        monkeypatch.setattr(oracle, "lp_max", tampered)
+        monkeypatch.setattr(oracle, "_simplex", stopped)
         with pytest.raises(CertificateError):
             oracle_max_m3(COARSE)
         with pytest.raises(CertificateError):
@@ -507,6 +538,41 @@ class TestOracleExtremeGiven:
         with pytest.raises(InfeasibleMomentsError, match="grid cannot represent"):
             oracle_extreme_m3_given(0.0, 0.25, 0.2, cfg)
 
+    @pytest.mark.parametrize(
+        "lo, lam",
+        [(-3e-157, 1e-75), (-3e-146, 10.0**17.5)],
+        ids=["x-squared-subnormal", "m2-beyond-range-in-units-of-x-squared"],
+    )
+    def test_unscalable_rows_are_infeasible(self, lo, lam):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InfeasibleMomentsError):
+                oracle_extreme_m3_given(0.0, lam**2, 2 * lam**4, OracleConfig(lo, -lo, lo / -60))
+
+    def test_grids_through_zero_certify(self):
+        # laws on 0 and one or two grid points: the range of 10 of these 60
+        # put weight on x = 0 and failed the dual check on a round-off of y0
+        rng = Random(9)
+        for _ in range(60):
+            step = rng.choice([0.5, 0.25, 0.1, 0.05, 0.02, 0.01])
+            ends = (-step * rng.randint(1, round(3 / step)), step * rng.randint(1, round(3 / step)))
+            cfg = OracleConfig(*ends, grid_step=step)
+            g = cfg.grid()
+            xs = [0.0, *(float(g[rng.randrange(g.size)]) for _ in range(rng.choice([1, 2])))]
+            ws = [rng.random() for _ in xs]
+            m1, m2, m4 = (sum(w * x**k for x, w in zip(xs, ws)) / sum(ws) for k in (1, 2, 4))
+            lo, hi = oracle_extreme_m3_given(m1, m2, m4, cfg)
+            iv = m3_interval(m1, m2, m4)
+            assert iv.lo - 1e-12 <= lo and hi <= iv.hi + 1e-12
+            assert lo <= hi + 1e-15  # equal up to round-off where one law has these moments
+
+    def test_weight_at_zero_certifies(self):
+        cfg = OracleConfig(grid_lo=-1.33, grid_hi=0.5800000000000001, grid_step=0.01)
+        triple = (-0.20958080561398149, 0.2137724217262611, 0.22240882756400204)
+        lo, hi = oracle_extreme_m3_given(*triple, cfg)
+        assert lo == pytest.approx(m3_interval(*triple).lo, abs=1e-12)
+        assert lo <= hi
+
     def test_small_target_left_uncovered_is_infeasible(self):
         # m4 / m2 = 1e-9 needs |x| ~ 3e-5, finer than the grid: phase 1 ends
         # with the m2 row's artificial at its whole (scaled) target 1.1e-11
@@ -533,6 +599,15 @@ class TestRandomFalsifier:
             random_falsifier(trials=0, seed=1)
         with pytest.raises(ValueError):
             replay_trial(1, -1)
+
+    def test_trials_capped_before_allocation(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("allocated")
+
+        monkeypatch.setattr(oracle, "_workspace", refuse)
+        monkeypatch.setattr(oracle, "_stream", refuse)
+        with pytest.raises(ValueError, match="trials must be in 1"):
+            random_falsifier(oracle.MAX_TRIALS + 1, 0)
 
     def test_single_trial(self):
         rep = random_falsifier(1, 0)

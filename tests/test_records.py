@@ -37,7 +37,7 @@ def records():
     cfg = OracleConfig(grid_lo=-2.0, grid_hi=2.0, grid_step=0.5)
     return [
         MV,
-        DiscreteDistribution.point_mass(1.0),
+        DiscreteDistribution(((1.0, 1.0),)),
         feasibility(MV),
         bound_sqrt(MV),
         m3_interval(0.0, 1.0, 2.0),
@@ -107,15 +107,16 @@ def test_replace_validates_and_recomputes():
     with pytest.raises(ValueError):
         OracleConfig()._replace(grid_step=-1.0)
     with pytest.raises(ValueError):
-        DiscreteDistribution.point_mass(1.0)._replace(atoms=((1.0, 0.5),))
-    assert DiscreteDistribution.point_mass(1.0)._replace(atoms=((2.0, 1.0), (1.0, 0.0))).atoms == ((2.0, 1.0),)
+        DiscreteDistribution(((1.0, 1.0),))._replace(atoms=((1.0, 0.5),))
+    assert DiscreteDistribution(((1.0, 1.0),))._replace(atoms=((2.0, 1.0), (1.0, 0.0))).atoms == ((2.0, 1.0),)
 
 
 def test_defaults_and_derived_members_survive():
     cfg = OracleConfig()
     assert cfg == (-3.0, 3.0, 0.01, 1.0, 3) and cfg.size == 601
     assert BoundResult(1.0, 0.0, 0.0, False).witness is None
-    assert MomentInterval(-1.0, 1.0).contains(0.5)
+    iv = MomentInterval(-1.0, 1.0)
+    assert iv.lo <= 0.5 <= iv.hi
     rep = random_falsifier(3, 0)
     assert rep.total_violations == 0
     assert isinstance(feasibility(MV), FeasibilityReport)
