@@ -57,8 +57,8 @@ QUARTER_CONSTANT = (4.0 / 27.0) ** 0.25
 EXTREMAL_U_FACTOR = (math.sqrt(3.0) - 1.0) / math.sqrt(2.0)
 EXTREMAL_V_FACTOR = (math.sqrt(3.0) + 1.0) / math.sqrt(2.0)
 
-#: Tolerance on the standardized slack (slack / s^3, s = m4^(1/4)) that
-#: classifies a bound as tight.
+#: The tol of tightness verdicts and certificates, on quantities of X / s
+#: (s = m4^(1/4)): the slack / s^3, det H and the reproduced moments.
 DEFAULT_TIGHT_TOL = 1e-8
 
 #: Rounding headroom on the m1 <= 0 precondition, relative to s: zero-mean
@@ -131,7 +131,7 @@ def bound_trivial(mv: MomentVector) -> float:
     return mv.m4**0.75
 
 
-def _bound_result(mv: MomentVector, unit_bounds, tol: float, witness) -> BoundResult:
+def _bound_result(mv: MomentVector, unit_bounds, witness) -> BoundResult:
     """BoundResult from the bound of X / s; ``witness()`` gives the atoms of the witness of X / s.
 
     ``unit_bounds`` is the bound of X / s and the same without its rounding
@@ -147,13 +147,14 @@ def _bound_result(mv: MomentVector, unit_bounds, tol: float, witness) -> BoundRe
     (unit_bound, plain), s = unit_bounds, mv.s
     scaled_slack = unit_bound - mv.unit[2]
     bound = unit_bound * s * s * s
+    tol = DEFAULT_TIGHT_TOL
     atoms = witness() if -tol <= scaled_slack and plain - mv.unit[2] <= tol else ()
-    tight = bool(atoms) and _reproduces(atoms, mv.unit, tol)
+    tight = bool(atoms) and _reproduces(atoms, mv.unit)
     law = DiscreteDistribution(tuple((s * x, p) for x, p in atoms)) if tight else None
     return BoundResult(bound, bound - mv.m3, scaled_slack, tight, law)
 
 
-def _reproduces(atoms, unit, tol: float) -> bool:
+def _reproduces(atoms, unit) -> bool:
     """The atoms (x, p) have the m2, m3 and m4 of unit within tol; non-finite
     atoms never do (their sums are inf or nan)."""
     m2 = m3 = m4 = 0.0
@@ -163,10 +164,11 @@ def _reproduces(atoms, unit, tol: float) -> bool:
         m3 += t * x
         m4 += t * x * x
     _, a2, a3, a4 = unit
+    tol = DEFAULT_TIGHT_TOL
     return abs(m2 - a2) <= tol and abs(m3 - a3) <= tol and abs(m4 - a4) <= tol
 
 
-def bound_sqrt(mv: MomentVector, tol: float = DEFAULT_TIGHT_TOL) -> BoundResult:
+def bound_sqrt(mv: MomentVector) -> BoundResult:
     """The bound m3 <= sqrt(m4 m2 - m2^3), valid when m1 <= 0.
 
     Tight exactly for the zero-mean two-point distributions; when tight,
@@ -177,7 +179,7 @@ def bound_sqrt(mv: MomentVector, tol: float = DEFAULT_TIGHT_TOL) -> BoundResult:
     """
     _, a2, a3, a4 = mv.unit
     plain = root(floor_at(a4 * a2 - a2 * a2 * a2, 0.0))
-    return _bound_result(mv, (sqrt_bound(a2, a4), plain), tol, lambda: _two_point(0.0, a2, a3) if a2 > 0.0 else ((0.0, 1.0),))
+    return _bound_result(mv, (sqrt_bound(a2, a4), plain), lambda: _two_point(0.0, a2, a3) if a2 > 0.0 else ((0.0, 1.0),))
 
 
 def _two_point(mean: float, var: float, k3: float) -> tuple[tuple[float, float], tuple[float, float]]:
@@ -192,7 +194,7 @@ def _two_point(mean: float, var: float, k3: float) -> tuple[tuple[float, float],
     return (mean - u, v / (u + v)), (mean + v, u / (u + v))
 
 
-def bound_quarter(mv: MomentVector, tol: float = DEFAULT_TIGHT_TOL) -> BoundResult:
+def bound_quarter(mv: MomentVector) -> BoundResult:
     """The sharp bound m3 <= (4/27)^(1/4) m4^(3/4), valid when m1 <= 0.
 
     Obtained from ``bound_sqrt`` by maximizing over m2, with maximizer
@@ -207,7 +209,7 @@ def bound_quarter(mv: MomentVector, tol: float = DEFAULT_TIGHT_TOL) -> BoundResu
         return extremal_from_sigma((a4 / 3.0) ** 0.25).atoms if a4 > 0.0 else ((0.0, 1.0),)
 
     q = quarter_bound(a4)
-    return _bound_result(mv, (q, q), tol, witness)
+    return _bound_result(mv, (q, q), witness)
 
 
 def m3_interval(m1: float, m2: float, m4: float) -> MomentInterval:
@@ -256,9 +258,7 @@ def extremal_from_sigma(sigma: float) -> DiscreteDistribution:
     return two_point_zero_mean(EXTREMAL_U_FACTOR * sigma, EXTREMAL_V_FACTOR * sigma)
 
 
-def certificate_from_hankel(
-    mv: MomentVector, tol: float = DEFAULT_TIGHT_TOL
-) -> Certificate:
+def certificate_from_hankel(mv: MomentVector) -> Certificate:
     """Extract the boundary distribution from a singular Hankel matrix.
 
     Requires the standardized det H = a b - c^2, (a, b, c) = ``mv.cov``, to
@@ -272,6 +272,7 @@ def certificate_from_hankel(
     """
     _require_feasible(mv)
     a, b, c = mv.cov
+    tol = DEFAULT_TIGHT_TOL
     if abs(a * b - c * c) > tol:
         raise InfeasibleMomentsError("interior point: no finite-support certificate of order <= 2")
     if abs(a) <= tol and abs(b) <= tol:
@@ -284,7 +285,7 @@ def certificate_from_hankel(
         a1 = mv.unit[0]
         s = mv.s or 1.0  # s = 0 leaves the moments unscaled, as in ``standardize``
         (lo, p), (hi, q) = unit_atoms = _two_point(a1, a, c - 2.0 * a1 * a)
-        if not _reproduces(unit_atoms, mv.unit, tol):
+        if not _reproduces(unit_atoms, mv.unit):
             raise InfeasibleMomentsError("singular Hankel matrix, but no law on two points has these moments")
         roots = (s * lo, s * hi)
         coeffs = (lo * hi, -(lo + hi) / s, 1.0 / s / s)

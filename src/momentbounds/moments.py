@@ -30,10 +30,8 @@ __all__ = [
     "moments_from_samples",
     "abs_third_moment",
     "hankel",
-    "hankel_det_closed_form",
     "psd_verdict",
     "feasibility",
-    "scale_moments",
 ]
 
 #: Weights must sum to 1 within this before renormalization.
@@ -256,12 +254,6 @@ def hankel(mv: MomentVector) -> tuple[tuple[float, float, float], ...]:
     return (m0, m1, m2), (m1, m2, m3), (m2, m3, m4)
 
 
-def hankel_det_closed_form(mv: MomentVector) -> float:
-    """det H = a b - c^2 from the raw ``covariance`` (valid for m0 = 1)."""
-    a, b, c = covariance(mv.m1, mv.m2, mv.m3, mv.m4)
-    return a * b - c * c
-
-
 class FeasibilityReport(namedtuple("FeasibilityReport", "psd scale covariance margin")):
     """PSD verdict on the Hankel matrix of a moment vector, and how it was reached.
 
@@ -287,10 +279,3 @@ def feasibility(mv: MomentVector) -> FeasibilityReport:
     """
     a, b, c = mv.cov
     return FeasibilityReport(mv.psd, mv.s, mv.cov, min(a, b, cov_radius(mv.unit, mv.cov) - abs(c)) + psd_tol(mv.m4))
-
-
-def scale_moments(mv: MomentVector, lam: float) -> MomentVector:
-    """Moment vector of lam * X: (1, lam m1, lam^2 m2, lam^3 m3, lam^4 m4)."""
-    if not math.isfinite(lam):
-        raise ValueError("non-finite scale factor")
-    return MomentVector(1.0, lam * mv.m1, lam**2 * mv.m2, lam**3 * mv.m3, lam**4 * mv.m4)

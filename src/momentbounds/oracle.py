@@ -365,6 +365,7 @@ def oracle_extreme_m3_given(
     Two LPs (max m3, max -m3), certified by ``lp_max``, with rows mass, m1,
     m2 and m4, solved for X / s (see ``_scale``) from one phase-1 basis; the
     range lies inside ``m3_interval`` and fills it as the grid is refined.
+    Two optima on one support are one vertex, read once: then lo == hi.
     """
     if not all(math.isfinite(v) for v in (m1, m2, m4)):
         raise ValueError("non-finite moment")
@@ -376,7 +377,8 @@ def oracle_extreme_m3_given(
     found = lp_max(A, b, -c, c)
     if found is None:
         raise InfeasibleMomentsError("grid cannot represent the moment triple")
-    lo, hi = (math.fsum(c[sol.x > 0.0] * sol.x[sol.x > 0.0]) * (s * s * s) for sol in found)
+    ends = found[:1] * 2 if np.array_equal(found[0].x > 0.0, found[1].x > 0.0) else found
+    lo, hi = (math.fsum(c[sol.x > 0.0] * sol.x[sol.x > 0.0]) * (s * s * s) for sol in ends)
     return lo, hi
 
 

@@ -21,17 +21,15 @@ from momentbounds import (
     extremal_from_sigma,
     feasibility,
     hankel,
-    hankel_det_closed_form,
     m3_interval,
     moments_from_discrete,
     oracle_extreme_m3_given,
     random_falsifier,
-    scale_moments,
     two_point_zero_mean,
 )
 from momentbounds.bounds import EXTREMAL_U_FACTOR, EXTREMAL_V_FACTOR
 from momentbounds.cli import main
-from conftest import tol_scale
+from conftest import hankel_det_closed_form, scale_moments, tol_scale
 
 
 def report(name, ok, detail):
@@ -50,10 +48,7 @@ def random_distribution(rng, max_atoms=8, nonpositive_mean=False):
 
 def test_criterion_1_sharp_constant_reproduction(capsys):
     start = time.time()
-    code = main(
-        ["verify", "--grid-lo", "-3", "--grid-hi", "3", "--step", "0.01",
-         "--m4", "1", "--trials", "2000", "--seed", "42"]
-    )
+    code = main(["verify", "--step", "0.01", "--trials", "2000", "--seed", "42"])
     out = json.loads(capsys.readouterr().out)
     elapsed = time.time() - start
     gap = abs(QUARTER_CONSTANT - out["oracle_max_m3"])

@@ -1,6 +1,7 @@
 import math
 import random
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,11 +20,11 @@ from momentbounds import (
     feasibility,
     m3_interval,
     moments_from_discrete,
-    scale_moments,
+    quarter_bound,
     two_point_zero_mean,
 )
 from momentbounds.moments import DEFAULT_PSD_TOL
-from conftest import tol_scale
+from conftest import scale_moments, tol_scale
 
 
 class TestBoundTrivial:
@@ -287,6 +288,50 @@ class TestCertificate:
     def test_infeasible_rejected(self):
         with pytest.raises(InfeasibleMomentsError, match="not a moment vector"):
             certificate_from_hankel(MomentVector(1, 0, 1, 0, 0.5))
+
+
+class TestProofBySquares:
+    """The paper's proofs: for t, sigma > 0 and m1 <= 0, each bound is the
+    expectation of a polynomial that lies above x^3 by a square, least at
+    t^2 = (m4 - m2^2) / m2 and sigma^4 = 4 m4 / 3."""
+
+    @staticmethod
+    def rationals(n, seed):
+        rng = random.Random(seed)
+        for _ in range(n):
+            x = Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
+            yield x, *(Fraction(rng.randint(1, 10**6), rng.randint(1, 10**6)) for _ in range(2))
+
+    def test_sqrt_bound_identity(self):
+        for x, t, m2 in self.rationals(200, 1):
+            lhs = t * x**2 / 2 + (x**2 - m2) ** 2 / (2 * t) + m2 * x - x**3
+            assert lhs == (x**2 - t * x - m2) ** 2 / (2 * t)
+
+    def test_quarter_bound_identity(self):
+        for x, sigma, _ in self.rationals(200, 2):
+            lhs = x**4 / (2 * sigma) + sigma**2 * x / 2 + sigma**3 / 8 - x**3
+            assert lhs == (x**2 - sigma * x - sigma**2 / 2) ** 2 / (2 * sigma)
+
+    @pytest.mark.parametrize("lam", [1e-6, 1e-3, 1.0, 1e3, 1e6])
+    def test_optimal_square_gives_the_bounds(self, lam):
+        # each value is exact for the rounded t or sigma, and above its least value by O(rounding^2)
+        eps = sys.float_info.epsilon
+        for k in range(1, 20):
+            m2 = lam**2 * k / 7.0
+            m4 = m2 * m2 * (1.0 + k / 3.0)
+            sigma = (4.0 * m4 / 3.0) ** 0.25
+            quarter = Fraction(m4) / (2 * Fraction(sigma)) + Fraction(sigma) ** 3 / 8
+            assert quarter_bound(m4) == pytest.approx(float(quarter), rel=4 * eps, abs=0.0)
+            t = math.sqrt((m4 - m2 * m2) / m2)
+            plain = Fraction(t) * Fraction(m2) / 2 + (Fraction(m4) - Fraction(m2) ** 2) / (2 * Fraction(t))
+            assert math.sqrt(m2 * m4 - m2**3) == pytest.approx(float(plain), rel=4 * eps, abs=0.0)
+
+    @pytest.mark.parametrize("sigma", [1e-6, 0.01, 1.0, 3.0, 1e6])
+    def test_certificate_is_the_square(self, sigma):
+        # the extremal law with m4 = 3 sigma^4 sits on the roots of x^2 - s x - s^2 / 2, s^4 = 4 m4 / 3
+        s = math.sqrt(2.0) * sigma
+        a0, a1, a2 = certificate_from_hankel(moments_from_discrete(extremal_from_sigma(sigma))).coeffs
+        assert (a1 / a2, a0 / a2) == pytest.approx((-s, -s * s / 2), rel=1e-14, abs=0.0)
 
 
 def standardized_error(law, mv):

@@ -11,15 +11,13 @@ from momentbounds import (
     abs_third_moment,
     feasibility,
     hankel,
-    hankel_det_closed_form,
     moments_from_discrete,
     moments_from_samples,
     psd_verdict,
     quarter_bound,
-    scale_moments,
 )
 from momentbounds.moments import cov_radius, covariance, floor_at, psd_tol, root, standardize
-from conftest import tol_scale
+from conftest import hankel_det_closed_form, scale_moments, tol_scale
 
 
 def dist(*pairs):

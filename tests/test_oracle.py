@@ -165,6 +165,18 @@ class TestOracleMaxM3:
                 OracleConfig(grid_lo=-2.0, grid_hi=2.0, grid_step=0.5, m4_target=100.0)
             )
 
+    def test_target_reached_only_by_clamped_weights_is_infeasible(self):
+        # m4 = 1 on points 0, +-1e75, ..., +-1e77 needs weights near 1e-300,
+        # below the oracle's weight clamp: infeasible, not an uncertified optimum
+        with pytest.raises(InfeasibleMomentsError, match="infeasible configuration"):
+            oracle_max_m3(OracleConfig(-1e77, 1e77, 1e75))
+
+    def test_round_off_on_a_basic_slack_is_no_dual_failure(self):
+        # the mean row's slack is basic, so its dual y1 is 0; it came out as
+        # -1.9e-17, which the dual check on the slack column refused
+        res = oracle_max_m3(OracleConfig(-1.888130916106281, 0.5933211422066171, 0.00048439548676741065, 6.219150654675419))
+        assert res.dual[1] == 0.0
+
     def test_weight_at_zero_certifies(self):
         # the column of x = 0 is (1, 0, 0) at cost 0, so y0 >= 0: it came out
         # as a round-off below 0, which the dual check on that column refused
@@ -256,6 +268,27 @@ class TestOracleMaxM3:
         lo, hi = oracle_extreme_m3_given(0.0, lam**2, 2.0 * lam**4, cfg(lam))
         unit = oracle_extreme_m3_given(0.0, 1.0, 2.0, cfg(1.0))
         assert (lo, hi) == pytest.approx((lam**3 * unit[0], lam**3 * unit[1]), rel=1e-9)
+
+    @pytest.mark.parametrize("lam", [1e-30, 1e-20, 1e77])
+    def test_lp_oracle_is_scale_free(self, lam):
+        # grid [-1, 1] at step 0.01 with m4 = 0.1, scaled by lam: at 1e77 the
+        # grid ends are the largest whose fourth power fits a double
+        def cfg(s):
+            return OracleConfig(-s, s, 0.01 * s, 0.1 * s**4)
+
+        unit, res = oracle_max_m3(cfg(1.0)), oracle_max_m3(cfg(lam))
+        assert res.pivots == unit.pivots
+        assert res.max_m3 == pytest.approx(lam**3 * unit.max_m3, rel=1e-9)
+        got = [v for x, p in res.argmax.atoms for v in (x / lam, p)]
+        assert got == pytest.approx([v for a in unit.argmax.atoms for v in a], rel=1e-9)
+        y0, y1, y2 = res.dual
+        assert [y0 / lam**3, y1 / lam**2, y2 * lam] == pytest.approx(unit.dual, rel=1e-9)
+
+    @pytest.mark.parametrize("lam", [1e-30, 1e-20])
+    def test_default_problem_at_small_scale(self, lam):
+        res = oracle_max_m3(OracleConfig(-3 * lam, 3 * lam, 0.01 * lam, lam**4))
+        assert res.pivots == 18
+        assert res.max_m3 / lam**3 == pytest.approx(0.6203825005110035, rel=1e-9)
 
     @pytest.mark.parametrize(
         "lo, hi, step, m4",
@@ -563,8 +596,13 @@ class TestOracleExtremeGiven:
             m1, m2, m4 = (sum(w * x**k for x, w in zip(xs, ws)) / sum(ws) for k in (1, 2, 4))
             lo, hi = oracle_extreme_m3_given(m1, m2, m4, cfg)
             iv = m3_interval(m1, m2, m4)
-            assert iv.lo - 1e-12 <= lo and hi <= iv.hi + 1e-12
-            assert lo <= hi + 1e-15  # equal up to round-off where one law has these moments
+            assert iv.lo - 1e-12 <= lo <= hi <= iv.hi + 1e-12
+
+    def test_one_vertex_gives_one_m3(self):
+        # both phase 2s end on the support {0, 0.5}, and read its weight on 0.5 1 ulp apart
+        lo, hi = oracle_extreme_m3_given(0.10903837406351365, 0.05451918703175682, 0.013629796757939206,
+                                         OracleConfig(-1.5, 1.5, 0.5))
+        assert lo == hi == 0.027259593515878408
 
     def test_weight_at_zero_certifies(self):
         cfg = OracleConfig(grid_lo=-1.33, grid_hi=0.5800000000000001, grid_step=0.01)

@@ -20,15 +20,13 @@ from momentbounds import (
     extremal_from_sigma,
     feasibility,
     hankel,
-    hankel_det_closed_form,
     m3_interval,
     moments_from_discrete,
     moments_from_samples,
-    scale_moments,
     two_point_zero_mean,
 )
 from momentbounds.moments import psd_tol
-from conftest import tol_scale
+from conftest import hankel_det_closed_form, scale_moments, tol_scale
 
 
 finite_x = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
