@@ -2,7 +2,9 @@
 
 Subcommands: moments, bound, interval, extremal, verify.  Every command
 prints a JSON report (floats in shortest round-trip form, lossless at 17
-significant digits) to stdout and diagnostics to stderr.
+significant digits) to stdout and diagnostics to stderr.  A report shows
+the library's records by one rule (``_json``): a law as its list of
+{"x", "p"} atoms, any other record as its fields.
 
 ``verify`` maximizes m3 with m1 <= 0 and m4 = 1 (any m4 is this problem
 scaled) over [-3, 3] at ``--step``, and passes when -FALSIFIER_TOL <= gap <=
@@ -35,7 +37,6 @@ import sys
 from . import __version__
 from .bounds import (
     DEFAULT_TIGHT_TOL,
-    BoundResult,
     bound_quarter,
     bound_sqrt,
     bound_trivial,
@@ -97,24 +98,13 @@ def parse_distribution_file(path: str) -> DiscreteDistribution:
     return DiscreteDistribution.from_pairs(pairs)
 
 
-def _atoms_json(dist: DiscreteDistribution) -> list[dict[str, float]]:
-    return [{"x": x, "p": p} for x, p in dist.atoms]
-
-
-def _moments_json(mv: MomentVector) -> dict[str, float]:
-    return {"m0": mv.m0, "m1": mv.m1, "m2": mv.m2, "m3": mv.m3, "m4": mv.m4}
-
-
-def _bound_json(result: BoundResult) -> dict[str, Any]:
-    out: dict[str, Any] = {
-        "bound": result.bound,
-        "slack": result.slack,
-        "scaled_slack": result.scaled_slack,
-        "tight": result.tight,
-    }
-    if result.witness is not None:
-        out["witness"] = _atoms_json(result.witness)
-    return out
+def _json(value: Any) -> Any:
+    """The JSON form of a library record: a law is its list of {"x", "p"}
+    atoms, any other record its fields, laws among them converted the same
+    way and None fields (a missing witness) left out."""
+    if isinstance(value, DiscreteDistribution):
+        return [{"x": x, "p": p} for x, p in value.atoms]
+    return {k: _json(v) if isinstance(v, DiscreteDistribution) else v for k, v in value._asdict().items() if v is not None}
 
 
 def _base_report(command: str, input_echo: Any) -> dict[str, Any]:
@@ -126,7 +116,7 @@ def _load_moment_vector(args: argparse.Namespace) -> tuple[MomentVector, Any]:
         mv = MomentVector(*args.moments)
         return mv, {"moments": list(args.moments)}
     dist = parse_distribution_file(args.file)
-    return moments_from_discrete(dist), {"file": args.file, "atoms": _atoms_json(dist)}
+    return moments_from_discrete(dist), {"file": args.file, "atoms": _json(dist)}
 
 
 def _dumps(report: dict[str, Any]) -> str:
@@ -145,14 +135,14 @@ def cmd_moments(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
         echo: Any = {"samples": list(args.samples)}
     else:
         dist = parse_distribution_file(args.file)
-        echo = {"file": args.file, "atoms": _atoms_json(dist)}
+        echo = {"file": args.file, "atoms": _json(dist)}
     mv = moments_from_discrete(dist)
     report = _base_report("moments", echo)
     report.update(
         {
-            "moments": _moments_json(mv),
+            "moments": _json(mv),
             "abs_third_moment": abs_third_moment(dist),
-            "feasibility": feasibility(mv)._asdict(),
+            "feasibility": _json(feasibility(mv)),
         }
     )
     return report, EXIT_OK
@@ -164,34 +154,26 @@ def cmd_bound(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
     if not rep.psd:
         raise InfeasibleMomentsError("not a moment sequence")
     report = _base_report("bound", echo)
-    report["moments"] = _moments_json(mv)
+    report["moments"] = _json(mv)
     report["tolerance"] = DEFAULT_TIGHT_TOL
-    report["feasibility"] = rep._asdict()
-    iv = m3_interval(mv.m1, mv.m2, mv.m4)
-    report["interval"] = {"lo": iv.lo, "hi": iv.hi}
+    report["feasibility"] = _json(rep)
+    report["interval"] = _json(m3_interval(mv.m1, mv.m2, mv.m4))
     report["bounds"] = {"trivial": {"bound": bound_trivial(mv)}}
     if not mean_nonpositive(mv):
         report["note"] = "sharp bounds require m1 <= 0; reporting the interval instead"
         return report, EXIT_OK
-    report["bounds"]["sqrt"] = _bound_json(bound_sqrt(mv))
-    report["bounds"]["quarter"] = _bound_json(bound_quarter(mv))
+    report["bounds"]["sqrt"] = _json(bound_sqrt(mv))
+    report["bounds"]["quarter"] = _json(bound_quarter(mv))
     try:
-        cert = certificate_from_hankel(mv)
+        report["certificate"] = _json(certificate_from_hankel(mv))
     except InfeasibleMomentsError:
         pass
-    else:
-        report["certificate"] = {
-            "coeffs": list(cert.coeffs),
-            "roots": list(cert.roots),
-            "recovered": _atoms_json(cert.recovered),
-        }
     return report, EXIT_OK
 
 
 def cmd_interval(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
-    iv = m3_interval(args.m1, args.m2, args.m4)
     report = _base_report("interval", {"m1": args.m1, "m2": args.m2, "m4": args.m4})
-    report["interval"] = {"lo": iv.lo, "hi": iv.hi}
+    report["interval"] = _json(m3_interval(args.m1, args.m2, args.m4))
     return report, EXIT_OK
 
 
@@ -204,8 +186,8 @@ def cmd_extremal(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
         {
             "u": -neg_u,
             "v": v,
-            "atoms": _atoms_json(dist),
-            "moments": _moments_json(mv),
+            "atoms": _json(dist),
+            "moments": _json(mv),
             "quarter_bound": quarter_bound(mv.m4),
         }
     )
@@ -219,7 +201,7 @@ def cmd_verify(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
         raise ValueError(f"verify needs numpy, which failed to import ({exc}); install it with: pip install numpy") from None
 
     cfg = OracleConfig(grid_step=args.step)
-    falsifier = random_falsifier(args.trials, args.seed)  # first: it refuses a bad trial count at once
+    falsifier = random_falsifier(args.trials, args.seed)  # first: it refuses a bad trial count or seed at once
     oracle = oracle_max_m3(cfg)
     sharp = quarter_bound(1.0)
     gap = sharp - oracle.max_m3
@@ -230,12 +212,11 @@ def cmd_verify(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
             "oracle_max_m3": oracle.max_m3,
             "gap": gap,
             "gap_tolerance": GAP_TOL,
-            "oracle_argmax": _atoms_json(oracle.argmax),
+            "oracle_argmax": _json(oracle.argmax),
             "candidates_examined": oracle.candidates_examined,
-            "constraint_residuals": list(oracle.constraint_residuals),
-            "oracle_dual": list(oracle.dual),
+            "oracle_dual": oracle.dual,
             "lp_pivots": oracle.pivots,
-            "falsifier": falsifier._asdict(),
+            "falsifier": _json(falsifier),
         }
     )
     # an optimum above the sharp bound by more than the falsifier's cut refutes it

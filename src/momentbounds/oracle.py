@@ -29,7 +29,6 @@ from .moments import (
     InfeasibleMomentsError,
     MomentVector,
     _validated_make,
-    moments_from_discrete,
     psd_verdict,
     standardize,
 )
@@ -119,9 +118,9 @@ class OracleConfig(namedtuple("OracleConfig", "grid_lo grid_hi grid_step m4_targ
         return self.grid_lo + self.grid_step * np.arange(self.size)
 
 
-class OracleResult(namedtuple("OracleResult", "max_m3 argmax constraint_residuals candidates_examined dual pivots",
-                              defaults=((), 0))):
-    """Maximized m3 with the optimizing grid distribution.
+class OracleResult(namedtuple("OracleResult", "max_m3 argmax candidates_examined dual pivots", defaults=((), 0))):
+    """Maximized m3 with the optimizing grid distribution ``argmax``, whose
+    moments are ``moments_from_discrete(argmax)``.
 
     ``candidates_examined`` counts grid columns priced, summed over the
     simplex iterations; for ``max_support=2``, the pairs priced, which are
@@ -267,13 +266,6 @@ def _scale(cfg: OracleConfig) -> float:
     return math.sqrt(math.sqrt(cfg.m4_target))
 
 
-def _result(cfg: OracleConfig, xs, ps, m3: float, examined: int, **lp) -> OracleResult:
-    argmax = DiscreteDistribution.from_pairs(zip(xs, ps))
-    mv = moments_from_discrete(argmax)
-    residuals = (mv.m0 - 1.0, mv.m1, mv.m4 - cfg.m4_target)
-    return OracleResult(m3, argmax, residuals, examined, **lp)
-
-
 def oracle_max_m3(cfg: OracleConfig) -> OracleResult:
     """Maximize m3 over grid distributions with sum p = 1, m1 <= 0, m4 = m4_target.
 
@@ -298,7 +290,8 @@ def oracle_max_m3(cfg: OracleConfig) -> OracleResult:
     m3 = math.fsum(c[support] * sol.x[support]) * (s * s * s)
     y0, y1, y2 = (float(v) for v in sol.y)
     dual = (y0 * (s * s * s), y1 * (s * s), y2 / s)
-    return _result(cfg, g[support], sol.x[support], m3, sol.priced, dual=dual, pivots=sol.pivots)
+    argmax = DiscreteDistribution.from_pairs(zip(g[support], sol.x[support]))
+    return OracleResult(m3, argmax, sol.priced, dual, sol.pivots)
 
 
 def _mix(p, a, b, out, tmp):
@@ -353,8 +346,7 @@ def _max_m3_pairs(cfg: OracleConfig, g: np.ndarray) -> OracleResult:
     neg_m3, _, i, j, p = min(found)
     if neg_m3 == np.inf:
         raise InfeasibleMomentsError("infeasible configuration")
-    xs, ps = zip(*[(x, w) for x, w in ((g[i], p), (g[j], 1.0 - p)) if w > 0.0])
-    return _result(cfg, xs, ps, -neg_m3, priced)
+    return OracleResult(-neg_m3, DiscreteDistribution(((g[i], p), (g[j], 1.0 - p))), priced)
 
 
 def oracle_extreme_m3_given(
@@ -418,6 +410,8 @@ def _stream(seed: int, skip: int = 0) -> np.random.Generator:
     Each uniform takes one 64-bit draw, so trial i starts at draw
     i * (2 * FALSIFIER_ATOMS + 1) however the trials are chunked.
     """
+    if seed < 0:
+        raise ValueError("seed must be nonnegative")
     bits = np.random.PCG64(seed)
     bits.advance(skip)
     return np.random.Generator(bits)

@@ -411,6 +411,11 @@ class TestVerifyCommand:
         assert (code, report) == (2, None)
         assert err == f"momentbounds: trials must be in 1..{oracle.MAX_TRIALS}\n"
 
+    def test_negative_seed_exit_2(self, capsys):
+        code, report, err = run(capsys, "verify", "--seed", "-1", "--trials", "10")
+        assert (code, report) == (2, None)
+        assert err == "momentbounds: seed must be nonnegative\n"
+
 
 @pytest.mark.parametrize(
     "argv",
@@ -509,7 +514,7 @@ REPORT_SHAPES = {
         HEAD
         | keys("input", "step", "trials", "seed")
         | {"sharp_bound", "oracle_max_m3", "gap", "gap_tolerance", "candidates_examined"}
-        | {"constraint_residuals", "oracle_dual", "lp_pivots", "verified"}
+        | {"oracle_dual", "lp_pivots", "verified"}
         | keys("oracle_argmax", *ATOMS)
         | keys(
             "falsifier",
@@ -533,6 +538,21 @@ def test_report_shape(case, tmp_path, capsys):
     code, report, _ = run(capsys, *(law if a == "LAW" else a for a in argv))
     assert code == 0
     assert key_paths(report) == shape
+
+
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (["bound", "--moments", "1", "0", "1", "0", "1"], "bound_rademacher.json"),
+        (["bound", "--moments", "1", "-0.25", "1.5", "0.3", "4.5"], "bound_interior.json"),
+        (["moments", "--samples", "1", "2", "2", "-0.0", "0"], "moments_samples.json"),
+    ],
+    ids=["bound-with-witness-and-certificate", "bound-without-witness", "moments-samples"],
+)
+def test_report_text_is_pinned(capsys, argv, golden):
+    # key order, float text and the {"x", "p"} atom form, which key paths do not show
+    assert main(argv) == 0
+    assert capsys.readouterr().out == (Path(__file__).parent / "golden" / golden).read_text()
 
 
 def test_unexpected_exception_exit_4(capsys, monkeypatch):

@@ -197,7 +197,7 @@ class TestOracleMaxM3:
         mv = moments_from_discrete(res.argmax)
         assert res.max_m3 <= bound_quarter(mv).bound + 1e-9 * tol_scale(mv)
 
-    def test_constraint_residuals(self):
+    def test_argmax_moments_meet_constraints(self):
         res = oracle_max_m3(COARSE)
         mv = moments_from_discrete(res.argmax)
         assert mv.m0 == 1.0
@@ -380,6 +380,7 @@ class TestPinnedResults:
         )
         assert res.dual == (0.15707255978742188, 0.582333235674864, 0.4633099407235816)
         assert (res.pivots, res.candidates_examined) == (18, 13244)
+        assert res._fields == ("max_m3", "argmax", "candidates_examined", "dual", "pivots")
 
     @pytest.mark.parametrize(
         "triple, ends",
@@ -637,6 +638,10 @@ class TestRandomFalsifier:
             random_falsifier(trials=0, seed=1)
         with pytest.raises(ValueError):
             replay_trial(1, -1)
+        with pytest.raises(ValueError, match="seed"):
+            random_falsifier(10, -1)
+        with pytest.raises(ValueError, match="seed"):
+            replay_trial(-1, 0)
 
     def test_trials_capped_before_allocation(self, monkeypatch):
         def refuse(*args):
