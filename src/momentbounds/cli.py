@@ -29,6 +29,7 @@ Only ``verify`` imports the oracle, and with it numpy.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -230,7 +231,9 @@ def cmd_verify(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
 NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser; it holds the ``cmd_*`` functions, so patching one after the first call does nothing."""
     parser = argparse.ArgumentParser(
         prog="momentbounds",
         description="Sharp bounds on the third moment from the first four moments.",

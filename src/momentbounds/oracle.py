@@ -489,27 +489,23 @@ def _power_sums(xs: np.ndarray, ws: np.ndarray, sums: np.ndarray, term: np.ndarr
 
 
 def _evaluate(m1, m2, m3, m4):
-    """Scaled margins and violation flags (rows sqrt, quarter, interval, psd).
+    """Scaled slacks (rows sqrt, quarter, interval) and violation flags (those rows, then psd).
 
     The moments are standardized once, and the verdicts come from the
     formula helpers on the same standardized arguments the scalar API
     gives them, so the falsifier tests the shipped arithmetic; the PSD flag
     and the ends of ``m3_interval`` on X / s read one covariance and one
-    radius.  Margins and the cut FALSIFIER_TOL are in units of s^3.
+    radius.  Slacks and the cut FALSIFIER_TOL are in units of s^3.
     """
     _, (a1, a2, a3, a4) = standardize(m1, m2, m3, m4)
     (psd, _, r), center = psd_verdict(a1, a2, a3, a4), a1 * a2
-    inside = np.minimum(a3 - (center - r), center + r - a3)
-    slack_sqrt = sqrt_bound(a2, a4) - a3
-    slack_quarter = quarter_bound(a4) - a3
-    margin = np.minimum.reduce([slack_sqrt, slack_quarter, inside])
-    tol = FALSIFIER_TOL
-    return margin, np.stack([slack_sqrt < -tol, slack_quarter < -tol, inside < -tol, ~psd])
+    slacks = np.stack([sqrt_bound(a2, a4) - a3, quarter_bound(a4) - a3, np.minimum(a3 - (center - r), center + r - a3)])
+    return slacks, np.vstack([slacks < -FALSIFIER_TOL, ~psd])
 
 
 def _chunk(rng: np.random.Generator, work: tuple[np.ndarray, np.ndarray], size: int):
     """Draw the next ``size`` trials into ``work`` and evaluate them:
-    (atoms, weights, power sums, margins, flags), atom-major views of work."""
+    (atoms, weights, power sums, slacks, flags), atom-major views of work."""
     n = FALSIFIER_ATOMS
     draws, rows = work[0][:size], work[1][:, :size]
     rng.random(out=draws)
@@ -538,8 +534,9 @@ def random_falsifier(trials: int, seed: int) -> FalsifierReport:
     worst, worst_trial = math.inf, 0
     listed: list[int] = []
     for start in range(0, trials, FALSIFIER_CHUNK):
-        *_, margin, flags = _chunk(rng, work, min(FALSIFIER_CHUNK, trials - start))
+        *_, slacks, flags = _chunk(rng, work, min(FALSIFIER_CHUNK, trials - start))
         counts += flags.sum(axis=1)
+        margin = slacks.min(axis=0)
         k = int(np.argmin(margin))
         if margin[k] < worst:
             worst, worst_trial = float(margin[k]), start + k
@@ -554,7 +551,7 @@ def replay_trial(seed: int, index: int) -> ReplayedTrial:
     falsifier's own arithmetic: its moments and margin are the ones seen."""
     if index < 0:
         raise ValueError("index must be nonnegative")
-    xs, ws, sums, margin, _ = _chunk(_stream(seed, index * (2 * FALSIFIER_ATOMS + 1)), _workspace(1), 1)
+    xs, ws, sums, slacks, _ = _chunk(_stream(seed, index * (2 * FALSIFIER_ATOMS + 1)), _workspace(1), 1)
     law = DiscreteDistribution.from_pairs((x, w) for x, w in zip(xs[:, 0], ws[:, 0]) if w > 0.0)
     mv = MomentVector(1.0, *(float(m[0]) for m in sums))
-    return ReplayedTrial(law, mv, float(margin[0]))
+    return ReplayedTrial(law, mv, float(slacks[:, 0].min()))

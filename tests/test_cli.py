@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -553,6 +554,20 @@ def test_report_text_is_pinned(capsys, argv, golden):
     # key order, float text and the {"x", "p"} atom form, which key paths do not show
     assert main(argv) == 0
     assert capsys.readouterr().out == (Path(__file__).parent / "golden" / golden).read_text()
+
+
+def test_main_builds_one_parser(capsys, monkeypatch):
+    parsers = []
+    parse_args = argparse.ArgumentParser.parse_args
+
+    def spy(self, argv):
+        parsers.append(self)
+        return parse_args(self, argv)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", spy)
+    assert run(capsys, "interval", "0", "1", "2")[0] == 0
+    assert run(capsys, "extremal", "1")[0] == 0
+    assert len(parsers) == 2 and parsers[0] is parsers[1]
 
 
 def test_unexpected_exception_exit_4(capsys, monkeypatch):

@@ -658,9 +658,10 @@ class TestRandomFalsifier:
         assert rep.worst_trial == 0
         assert rep.total_violations == 0
 
-    def test_chunk_size_does_not_matter(self, monkeypatch):
+    @pytest.mark.parametrize("chunk", [1, 7, 999])  # a one-trial chunk is where numpy changes its summation order
+    def test_chunk_size_does_not_matter(self, monkeypatch, chunk):
         whole = random_falsifier(trials=1000, seed=5)
-        monkeypatch.setattr(oracle, "FALSIFIER_CHUNK", 7)
+        monkeypatch.setattr(oracle, "FALSIFIER_CHUNK", chunk)
         assert random_falsifier(trials=1000, seed=5) == whole
 
     def test_lists_violating_trials_across_chunks(self, monkeypatch):
@@ -709,6 +710,16 @@ class TestRandomFalsifier:
             (iv.hi - mv.m3) / s3,
         )
         assert scalar == pytest.approx(trial.scaled_margin, abs=1e-13)
+
+    @pytest.mark.parametrize("seed, index", [(42, 0), (7, 20763), (3, 1831)])
+    def test_slack_rows_are_the_scalar_slacks(self, seed, index):
+        mv = replay_trial(seed, index).moments
+        slacks, flags = oracle._evaluate(*(np.array([m]) for m in mv[1:]))
+        assert slacks[0, 0] == bound_sqrt(mv).scaled_slack
+        assert slacks[1, 0] == bound_quarter(mv).scaled_slack
+        iv = m3_interval(mv.m1, mv.m2, mv.m4)
+        assert slacks[2, 0] == pytest.approx(min(mv.m3 - iv.lo, iv.hi - mv.m3) / mv.s**3, abs=1e-13)
+        assert not flags.any()
 
     def test_two_point_draws_are_equality_cases(self):
         import numpy as np
