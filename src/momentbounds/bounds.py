@@ -150,7 +150,7 @@ def _bound_result(mv: MomentVector, unit_bounds, witness) -> BoundResult:
     tol = DEFAULT_TIGHT_TOL
     atoms = witness() if -tol <= scaled_slack and plain - mv.unit[2] <= tol else ()
     tight = bool(atoms) and _reproduces(atoms, mv.unit)
-    law = DiscreteDistribution(tuple((s * x, p) for x, p in atoms)) if tight else None
+    law = DiscreteDistribution((s * x, p) for x, p in atoms) if tight else None
     return BoundResult(bound, bound - mv.m3, scaled_slack, tight, law)
 
 

@@ -165,14 +165,15 @@ class MomentVector(namedtuple("MomentVector", "m0 m1 m2 m3 m4")):
 class DiscreteDistribution(namedtuple("DiscreteDistribution", "atoms")):
     """Finitely many atoms (x, p) with p > 0 summing to 1.
 
-    Construction drops zero-weight atoms, merges duplicate support points,
-    renormalizes weights (rejected unless they already sum to 1 within
-    1e-12), and sorts atoms ascending by support point.
+    Construction reads ``atoms``, any iterable of (x, p) pairs, once; drops
+    zero-weight atoms, merges duplicate support points, renormalizes weights
+    (rejected unless they already sum to 1 within 1e-12), and sorts by x.
     """
 
     __slots__ = ()
 
     def __new__(cls, atoms):
+        atoms = tuple(atoms)
         merged: dict[float, float] = {}
         for x, p in atoms:
             x = float(x)
@@ -196,7 +197,7 @@ class DiscreteDistribution(namedtuple("DiscreteDistribution", "atoms")):
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[float, float]]) -> DiscreteDistribution:
-        return cls(tuple(pairs))
+        return cls(pairs)
 
 
 def _raw_moments(xs, ws) -> MomentVector:

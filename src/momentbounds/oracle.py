@@ -552,6 +552,6 @@ def replay_trial(seed: int, index: int) -> ReplayedTrial:
     if index < 0:
         raise ValueError("index must be nonnegative")
     xs, ws, sums, slacks, _ = _chunk(_stream(seed, index * (2 * FALSIFIER_ATOMS + 1)), _workspace(1), 1)
-    law = DiscreteDistribution.from_pairs((x, w) for x, w in zip(xs[:, 0], ws[:, 0]) if w > 0.0)
+    law = DiscreteDistribution(zip(xs[:, 0], ws[:, 0]))
     mv = MomentVector(1.0, *(float(m[0]) for m in sums))
     return ReplayedTrial(law, mv, float(slacks[:, 0].min()))

@@ -131,6 +131,11 @@ class TestMomentsFromSamples:
         samples = [0.3, -1.7, 2.5, 0.9]
         empirical = dist(*((x, 0.25) for x in samples))
         assert moments_from_samples(samples) == moments_from_discrete(empirical)
+        # distinct ints that are one float merge as the law merges them: values repeat as floats, not as given
+        samples = [2**60 + k for k in range(7)] + [5, -2]
+        empirical = dist(*((x, 1.0 / 9.0) for x in samples))
+        assert len(empirical.atoms) == 3
+        assert moments_from_samples(samples) == moments_from_discrete(empirical)
 
     def test_errors(self):
         with pytest.raises(ValueError, match="empty sample set"):
@@ -167,6 +172,12 @@ class TestMomentsFromSamples:
         # 1e5 weights of 1e-5 merged one at a time miss 1 by more than 1e-12; both routes accept them
         law = DiscreteDistribution.from_pairs([(1.5, 1e-5)] * 10**5)
         assert moments_from_samples([1.5] * 10**5) == moments_from_discrete(law) == (1.0, 1.5, 2.25, 3.375, 5.0625)
+        # the constructor reads its atoms once, so a generator of them, or one handed to _replace, makes the same law
+        def copies():
+            return ((1.5, 1e-5) for _ in range(10**5))
+
+        assert DiscreteDistribution(copies()) == law and law.atoms == ((1.5, 1.0),)
+        assert DiscreteDistribution(((1.0, 1.0),))._replace(atoms=copies()) == law
 
 
 class TestAbsThirdMoment:
