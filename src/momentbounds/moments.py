@@ -34,7 +34,7 @@ __all__ = [
     "feasibility",
 ]
 
-#: Weights must sum to 1 within this before renormalization.
+#: A law's weights as given must sum to 1 within this, and a moment vector's m0 be 1.
 WEIGHT_SUM_TOL = 1e-12
 
 #: Default tolerance for PSD verdicts, on the standardized covariance.
@@ -65,17 +65,21 @@ def root(v):
     return math.sqrt(v) if isinstance(v, (float, int)) else v**0.5
 
 
+def fourth_root(m4):
+    """s = m4^(1/4) by two correctly rounded square roots: floats and arrays agree bit for bit."""
+    return root(root(m4))
+
+
 def standardize(m1, m2, m3, m4):
-    """(s, (m1/s, m2/s^2, m3/s^3, m4/s^4)) with s = m4^(1/4): the moments of X / s.
+    """(s, (m1/s, m2/s^2, m3/s^3, m4/s^4)) with s = ``fourth_root(m4)``: the moments of X / s.
 
     The standardized moments of a law lie in [-1, 1], so tolerances on them
     are relative.  For m4 = 0, where X = 0 almost surely (up to underflow),
     s is 0 and the moments come back as they are.  Dividing by one factor
     of s at a time keeps every intermediate in range for any finite m4 >= 0.
-    s is taken as two correctly rounded square roots, so floats and arrays
-    agree bit for bit.  Floats or arrays.
+    Floats or arrays.
     """
-    s = root(root(m4))
+    s = fourth_root(m4)
     z = 1.0 / (s + (s == 0.0))
     return s, (m1 * z, m2 * z * z, m3 * z * z * z, m4 * z * z * z * z)
 
@@ -163,21 +167,21 @@ class MomentVector(namedtuple("MomentVector", "m0 m1 m2 m3 m4")):
 
 
 class DiscreteDistribution(namedtuple("DiscreteDistribution", "atoms")):
-    """Finitely many atoms (x, p) with p > 0 summing to 1.
+    """Finitely many atoms (x, p), sorted by x, with p > 0 summing to 1.
 
-    Construction reads ``atoms``, any iterable of (x, p) pairs, once; drops
-    zero-weight atoms, merges duplicate support points, renormalizes weights
-    (rejected unless they already sum to 1 within 1e-12), and sorts by x.
+    Construction reads ``atoms``, any iterable of (x, p) pairs, once.  The
+    weights as given must sum to 1 within WEIGHT_SUM_TOL; zero weights are
+    dropped, repeated points merged, the merged weights divided by their total.
     """
 
     __slots__ = ()
 
     def __new__(cls, atoms):
-        atoms = tuple(atoms)
         merged: dict[float, float] = {}
+        given: list[float] = []
         for x, p in atoms:
-            x = float(x)
-            p = float(p)
+            x, p = float(x), float(p)
+            given.append(p)
             if not (math.isfinite(x) and math.isfinite(p)):
                 raise ValueError("non-finite atom")
             if p < 0.0:
@@ -187,10 +191,9 @@ class DiscreteDistribution(namedtuple("DiscreteDistribution", "atoms")):
             merged[x] = merged.get(x, 0.0) + p
         if not merged:
             raise ValueError("empty distribution")
-        total = math.fsum(merged.values())
-        # c weights merged one at a time may round away from their sum: then the weights as given decide
-        if abs(total - 1.0) > WEIGHT_SUM_TOL and abs(math.fsum(float(p) for _, p in atoms) - 1.0) > WEIGHT_SUM_TOL:
+        if abs(math.fsum(given) - 1.0) > WEIGHT_SUM_TOL:
             raise ValueError("weights do not sum to 1")
+        total = math.fsum(merged.values())
         return super().__new__(cls, tuple(sorted((x, p / total) for x, p in merged.items())))
 
     _make = classmethod(_validated_make)

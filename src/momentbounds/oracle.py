@@ -29,6 +29,7 @@ from .moments import (
     InfeasibleMomentsError,
     MomentVector,
     _validated_make,
+    fourth_root,
     psd_verdict,
     standardize,
 )
@@ -103,7 +104,7 @@ class OracleConfig(namedtuple("OracleConfig", "grid_lo grid_hi grid_step m4_targ
         # The same arithmetic as grid()[-1], without building the grid.
         top = grid_lo + grid_step * (self.size - 1)
         big = max(-grid_lo, top)  # the largest |x| on the grid
-        big = max(big, big / _scale(self))  # pairs take x^4, the LPs (x / s)^4
+        big = max(big, big / fourth_root(m4_target))  # pairs take x^4, the LPs (x / s)^4
         if big * big * big * big == math.inf:
             raise OverflowError("grid points whose fourth power is beyond double range")
         return self
@@ -260,24 +261,19 @@ def check_certificate(A, b, c, x, y) -> None:
         raise CertificateError(f"LP certificate failed: {', '.join(failed)} check")
 
 
-def _scale(cfg: OracleConfig) -> float:
-    """s = m4_target^(1/4): the LP oracles solve for X / s, so their rows and
-    tolerances are of unit magnitude at any scale; s = 1 leaves them as given."""
-    return math.sqrt(math.sqrt(cfg.m4_target))
-
-
 def oracle_max_m3(cfg: OracleConfig) -> OracleResult:
     """Maximize m3 over grid distributions with sum p = 1, m1 <= 0, m4 = m4_target.
 
     One LP, certified by ``lp_max``: rows mass, mean (plus a slack column,
     whose dual y1 is held at 0 or above by the sign rule) and m4, a column
-    per grid point.  It is solved for X / s (see ``_scale``), and m3 and the
-    dual are scaled back.  ``max_support=2`` prices pairs instead.
+    per grid point, solved for X / s, s = ``fourth_root(m4_target)``, so rows
+    are of unit size at any scale (m3 and the dual are scaled back).
+    ``max_support=2`` prices pairs instead.
     """
     g = cfg.grid()
     if cfg.max_support == 2:
         return _max_m3_pairs(cfg, g)
-    s = _scale(cfg)
+    s = fourth_root(cfg.m4_target)
     z = g / s
     A = np.hstack([np.vstack([np.ones_like(z), z, z**4]), [[0.0], [1.0], [0.0]]])
     b = np.array([1.0, 0.0, cfg.m4_target / s / s / s / s])
@@ -355,13 +351,13 @@ def oracle_extreme_m3_given(
     """Min and max of m3 over grid distributions matching (m1, m2, m4) exactly.
 
     Two LPs (max m3, max -m3), certified by ``lp_max``, with rows mass, m1,
-    m2 and m4, solved for X / s (see ``_scale``) from one phase-1 basis; the
+    m2 and m4, solved for X / s (see ``oracle_max_m3``) from one phase-1 basis; the
     range lies inside ``m3_interval`` and fills it as the grid is refined.
     Two optima on one support are one vertex, read once: then lo == hi.
     """
     if not all(math.isfinite(v) for v in (m1, m2, m4)):
         raise ValueError("non-finite moment")
-    s = _scale(cfg)
+    s = fourth_root(cfg.m4_target)
     z = cfg.grid() / s
     A = np.vstack([np.ones_like(z), z, z**2, z**4])
     b = np.array([1.0, m1 / s, m2 / s / s, m4 / s / s / s / s])

@@ -201,6 +201,8 @@ class TestTwoPointZeroMean:
             two_point_zero_mean(-1.0, 2.0)
         with pytest.raises(ValueError, match="positive"):
             two_point_zero_mean(1.0, 0.0)
+        with pytest.raises(ValueError, match="positive"):
+            two_point_zero_mean(0.0, 1.0)
 
 
 class TestExtremalFromSigma:
@@ -253,6 +255,12 @@ class TestCertificate:
         # null vector of [[1,0,2],[0,2,2],[2,2,6]] is proportional to (2,1,-1)
         a0, a1, a2 = cert.coeffs
         assert (a0, a1, a2) == pytest.approx(tuple(np.array([2, 1, -1]) / math.sqrt(6)), abs=1e-10)
+
+    def test_two_point_off_zero_mean(self):
+        # the law {1: 1/4, 3: 3/4}: its third central moment c - 2 m1 a is not c, so a slip in the 2 shows
+        cert = certificate_from_hankel(MomentVector(1, 2.5, 7, 20.5, 61))
+        assert cert.roots == pytest.approx((1.0, 3.0), rel=1e-12)
+        assert [v for atom in cert.recovered.atoms for v in atom] == pytest.approx([1.0, 0.25, 3.0, 0.75], rel=1e-12)
 
     def test_point_mass_at_zero(self):
         cert = certificate_from_hankel(MomentVector(1, 0, 0, 0, 0))

@@ -16,7 +16,7 @@ from momentbounds import (
     psd_verdict,
     quarter_bound,
 )
-from momentbounds.moments import cov_radius, covariance, floor_at, psd_tol, root, standardize
+from momentbounds.moments import WEIGHT_SUM_TOL, cov_radius, covariance, floor_at, psd_tol, root, standardize
 from conftest import hankel_det_closed_form, scale_moments, tol_scale
 
 
@@ -72,6 +72,17 @@ class TestDiscreteDistribution:
         assert dist(*[(1.5, 1e-5)] * 10**5).atoms == ((1.5, 1.0),)
         with pytest.raises(ValueError, match="sum to 1"):
             dist(*[(1.5, 1e-5)] * (10**5 + 1))
+
+    def test_given_weights_decide_not_the_merged_total(self):
+        # from a seeded search over n copies of (1 + U[-5e-12, 5e-12]) / n: merged one at a time,
+        # the weights land within WEIGHT_SUM_TOL of 1, but as given they miss it by 1.1e-12
+        n, w = 70639, 1.4156485793982191e-05
+        merged = 0.0
+        for _ in range(n):
+            merged += w
+        assert abs(merged - 1.0) <= WEIGHT_SUM_TOL < abs(math.fsum([w] * n) - 1.0)
+        with pytest.raises(ValueError, match="weights do not sum to 1"):
+            dist(*[(1.5, w)] * n)
 
     def test_rejects_negative_weight(self):
         with pytest.raises(ValueError, match="negative"):
