@@ -93,8 +93,10 @@ class Certificate(namedtuple("Certificate", "coeffs roots recovered")):
     """Null vector of a singular Hankel matrix and the distribution it pins down.
 
     coeffs is a unit vector (a0, a1, a2) with a0 + a1 X + a2 X^2 = 0 almost
-    surely; its real roots (a tuple) are the support points of the unique
-    boundary distribution, ``recovered`` with the weights that match m0 to m3.
+    surely, its leading coefficient positive at any scale of X (a2 for two
+    points, a1 with a2 = 0 for a point mass); its real roots (a tuple) are
+    the support points of the unique boundary distribution, ``recovered``
+    with the weights that match m0 to m3.
     """
 
     __slots__ = ()
@@ -291,5 +293,4 @@ def certificate_from_hankel(mv: MomentVector) -> Certificate:
         coeffs = (lo * hi, -(lo + hi) / s, 1.0 / s / s)
         atoms = ((roots[0], p), (roots[1], q))
     norm = math.hypot(*coeffs)
-    sign = next((1.0 if c > 0.0 else -1.0 for c in coeffs if abs(c) > 1e-12 * norm), 1.0)
-    return Certificate(tuple(sign * c / norm for c in coeffs), roots, DiscreteDistribution(atoms))
+    return Certificate(tuple(c / norm for c in coeffs), roots, DiscreteDistribution(atoms))

@@ -51,9 +51,9 @@ CERTIFICATE_TOL = 1e-9
 STALLS_PER_ROW = 4
 
 #: Grid points accepted by the LP (O(n) memory) and by the support-2 pair
-#: oracle (O(n^2) memory: at 1201 points it prices 321 602 pairs in ~5 ms,
-#: ~9 ms as a process's first call, and that process peaks at ~36.5 MB RSS,
-#: ~10 MB above numpy imported; 2-CPU x86-64 host, numpy 2.4).
+#: oracle (O(n^2) memory: at 1201 points it prices 321 602 pairs in ~6 ms,
+#: ~11 ms as a process's first call, and that process peaks at ~38 MB RSS,
+#: ~11 MB above numpy imported; 2-CPU x86-64 host, numpy 2.4).
 MAX_GRID_POINTS = 1_000_001
 MAX_PAIR_GRID_POINTS = 1_201
 
@@ -124,8 +124,8 @@ class OracleResult(namedtuple("OracleResult", "max_m3 argmax candidates_examined
     moments are ``moments_from_discrete(argmax)``.
 
     ``candidates_examined`` counts grid columns priced, summed over the
-    simplex iterations; for ``max_support=2``, the pairs priced, which are
-    those that straddle m4_target (see ``_max_m3_pairs``).  ``dual``
+    simplex iterations; for ``max_support=2``, the pairs priced, a point
+    with x^4 >= m4_target and one with x^4 <= m4_target (``_max_m3_pairs``).  ``dual``
     is the certificate (y0, y1, y2), empty for ``max_support=2``:
     y0 + y1 x + y2 x^4 >= x^3 on the grid, y1 >= 0, and
     y0 + y2 m4_target = max_m3.
@@ -299,50 +299,39 @@ def _mix(p, a, b, out, tmp):
 def _max_m3_pairs(cfg: OracleConfig, g: np.ndarray) -> OracleResult:
     """Best law on at most two grid points, pricing only the pairs that can reach m4.
 
-    m4 = m4_target needs one atom with x^4 <= m4_target and one with
-    x^4 >= m4_target.  x^4 falls, then rises along the grid, so those pairs
-    (i <= j) form two blocks: the left tail against the middle
-    (x^4 <= m4_target), and the middle against the right tail; points with
-    x^4 = m4_target are in both, and the diagonal i = j is never admitted.
-    Weights solve {mass, m4} (the mean then checked as an inequality) or
-    {mass, mean = 0} (the m4 residual then required to be exactly 0),
-    so every admitted pair is a feasible point of the LP and the LP optimum
-    dominates the result.  Ties go to the first family, then to the first
-    pair in (i, j) order.  Blocks share buffers allocated once per call.
+    m4 = m4_target needs an atom with x^4 >= m4_target and one with
+    x^4 <= m4_target: the rows and the columns of one block, a point with
+    x^4 = m4_target in both.  p, the weight of the row (far) atom, solves
+    {mass, m4} (the mean then checked as an inequality) or {mass, mean = 0}
+    (the m4 residual then required to be exactly 0); it does not round to 0
+    when m4_target is tiny against the grid, so every admitted pair is a
+    feasible point of the LP and the LP optimum dominates the result.  A
+    point with itself gets p = 0/0 or x/0 and is never admitted.  Ties go to
+    the first family, then to the first pair in (row, column) order.
     """
     target = cfg.m4_target
     q, c = g**4, g**3
-    inside = np.flatnonzero(q <= target)
-    blocks = []
-    if inside.size:
-        a, b = int(inside[0]), int(inside[-1]) + 1
-        blocks = [(slice(0, a + (q[a] == target)), slice(a, b)), (slice(a, b), slice(b - (q[b - 1] == target), g.size))]
+    rows, cols = np.flatnonzero(q >= target), np.flatnonzero(q <= target)
+    xi, qi, ci, xj, qj, cj = g[rows, None], q[rows, None], c[rows, None], g[cols], q[cols], c[cols]
+    p, t, u = np.empty((3, rows.size, cols.size))  # one allocation for both families; three were re-faulted per call
     found = [(np.inf, 0, 0, 0, 0.0)]  # (-m3, family, i, j, p): the least wins
-    priced = 0
-    largest = max([g[rows].size * g[cols].size for rows, cols in blocks], default=0)
-    work = np.empty((4, largest))
-    for rows, cols in blocks:
-        xi, xj, qi, qj, ci, cj = g[rows, None], g[cols], q[rows, None], q[cols], c[rows, None], c[cols]
-        priced += xi.size * xj.size
-        p_m4, p_mean, t, u = (v[: xi.size * xj.size].reshape(xi.size, xj.size) for v in work)
-        np.divide(target - qj, np.subtract(qi, qj, out=p_m4), out=p_m4)
-        np.divide(xj, np.subtract(xj, xi, out=p_mean), out=p_mean)
-        families = ((p_m4, _mix(p_m4, xi, xj, t, u) <= 0.0), (p_mean, _mix(p_mean, qi, qj, t, u) == target))
-        for family, (p, feasible) in enumerate(families):
-            cells = np.flatnonzero((p >= 0.0) & (p <= 1.0) & feasible)
-            if cells.size == 0:
-                continue
-            if family == 0:
-                m3 = _mix(p, ci, cj, t, u).ravel()[cells]
-            else:  # few cells: m4 comes out exact only by chance or symmetry
-                m3 = p.flat[cells] * ci.flat[cells // xj.size] + (1.0 - p.flat[cells]) * cj[cells % xj.size]
+    for family in (0, 1):
+        if family == 0:  # p is in [0, 1] or NaN (0/0), which fails the mean test; about half the block passes
+            ok = _mix(np.divide(target - qj, np.subtract(qi, qj, out=p), out=p), xi, xj, t, u) <= 0.0
+            m3, cells = _mix(p, ci, cj, t, u), range(p.size)
+            m3[~ok] = -np.inf
+        else:  # few cells: m4 comes out exact only by chance or symmetry
+            ok = (_mix(np.divide(xj, np.subtract(xj, xi, out=p), out=p), qi, qj, t, u) == target) & (p >= 0.0) & (p <= 1.0)
+            cells = np.flatnonzero(ok)
+            m3 = p.flat[cells] * ci.flat[cells // cols.size] + (1.0 - p.flat[cells]) * cj[cells % cols.size]
+        if ok.any():
             k = int(np.argmax(m3))
-            i, j = divmod(int(cells[k]), xj.size)
-            found.append((-float(m3[k]), family, rows.start + i, cols.start + j, float(p[i, j])))
-    neg_m3, _, i, j, p = min(found)
+            i, j = divmod(int(cells[k]), cols.size)
+            found.append((-float(m3.flat[k]), family, int(rows[i]), int(cols[j]), float(p[i, j])))
+    neg_m3, _, i, j, w = min(found)
     if neg_m3 == np.inf:
         raise InfeasibleMomentsError("infeasible configuration")
-    return OracleResult(-neg_m3, DiscreteDistribution(((g[i], p), (g[j], 1.0 - p))), priced)
+    return OracleResult(-neg_m3, DiscreteDistribution(((g[i], w), (g[j], 1.0 - w))), p.size)
 
 
 def oracle_extreme_m3_given(

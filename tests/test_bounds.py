@@ -252,9 +252,9 @@ class TestCertificate:
         cert = certificate_from_hankel(MomentVector(1, 0, 2, 2, 6))
         assert cert.roots == pytest.approx((-1.0, 2.0))
         assert [p for _, p in cert.recovered.atoms] == pytest.approx([2 / 3, 1 / 3])
-        # null vector of [[1,0,2],[0,2,2],[2,2,6]] is proportional to (2,1,-1)
+        # null vector of [[1,0,2],[0,2,2],[2,2,6]] is proportional to (-2,-1,1), a2 > 0
         a0, a1, a2 = cert.coeffs
-        assert (a0, a1, a2) == pytest.approx(tuple(np.array([2, 1, -1]) / math.sqrt(6)), abs=1e-10)
+        assert (a0, a1, a2) == pytest.approx(tuple(np.array([-2, -1, 1]) / math.sqrt(6)), abs=1e-10)
 
     def test_two_point_off_zero_mean(self):
         # the law {1: 1/4, 3: 3/4}: its third central moment c - 2 m1 a is not c, so a slip in the 2 shows
@@ -268,10 +268,18 @@ class TestCertificate:
         assert cert.recovered.atoms == ((0.0, 1.0),)
 
     def test_unit_norm_and_sign(self):
-        cert = certificate_from_hankel(MomentVector(1, 0, 2, 2, 6))
-        assert np.linalg.norm(cert.coeffs) == pytest.approx(1.0)
-        first = next(c for c in cert.coeffs if abs(c) > 1e-12)
-        assert first > 0
+        # the leading coefficient is positive by construction, with no cut on the others:
+        # two points (the Rademacher law at two scales), then point masses
+        for mv, degree in [
+            (MomentVector(1, 0, 2, 2, 6), 2),
+            (MomentVector(1, 0, 1, 0, 1), 2),
+            (MomentVector(1, 0, 1e-12, 0, 1e-24), 2),
+            (MomentVector(1, -2.0, 4.0, -8.0, 16.0), 1),
+            (MomentVector(1, 0, 0, 0, 0), 1),
+        ]:
+            cert = certificate_from_hankel(mv)
+            assert np.linalg.norm(cert.coeffs) == pytest.approx(1.0)
+            assert cert.coeffs[degree] > 0.0 and cert.coeffs[degree + 1:] == (0.0,) * (2 - degree), mv
 
     def test_null_vector_annihilates(self):
         from momentbounds import hankel

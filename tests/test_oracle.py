@@ -348,13 +348,24 @@ class TestOracleMaxM3:
             oracle_extreme_m3_given(0.0, 1.0, 2.0, COARSE)
 
     def test_support_two_pairs_are_exactly_feasible(self):
-        res = oracle_max_m3(OracleConfig(max_support=2))
-        mv = moments_from_discrete(res.argmax)
-        assert len(res.argmax.atoms) <= 2
-        assert res.dual == ()
-        assert mv.m1 <= 0.0
-        assert abs(mv.m4 - 1.0) <= 4e-16
-        assert res.max_m3 == pytest.approx(mv.m3, abs=1e-15)
+        # the default grid, widened to reach m4_target = 1e30; at the three small
+        # targets the near atom's weight rounds to 1, so m4 rests on the far atom's own weight
+        for target in (1e-30, 1e-20, 1e-16, 1.0, 1e30):
+            w = max(1.0, target**0.25)
+            res = oracle_max_m3(OracleConfig(-3.0 * w, 3.0 * w, 0.01 * w, target, max_support=2))
+            mv = moments_from_discrete(res.argmax)
+            assert len(res.argmax.atoms) <= 2
+            assert res.dual == ()
+            assert mv.m1 <= 0.0
+            assert abs(mv.m4 - target) <= 4e-16 * target, target
+            assert res.max_m3 == pytest.approx(mv.m3, rel=1e-15, abs=1e-15 * target**0.75)
+
+    @pytest.mark.xfail(strict=True, raises=InfeasibleMomentsError, reason="FOUND: WEIGHT_CLAMP drops the far weight")
+    def test_support_three_certifies_what_support_two_finds(self):
+        # the pair oracle's law {-3: 1.23e-22, 0: 1} meets m4 = 1e-20 to 1.5e-16,
+        # but the certified LP on the same grid calls the configuration infeasible
+        two = oracle_max_m3(OracleConfig(m4_target=1e-20, max_support=2))
+        assert oracle_max_m3(OracleConfig(m4_target=1e-20)).max_m3 >= two.max_m3
 
     def test_support_three_refines_support_two(self):
         two = oracle_max_m3(
@@ -396,16 +407,16 @@ class TestPinnedResults:
     @pytest.mark.parametrize(
         "kwargs, m3, atoms, priced",
         [
-            ({"grid_lo": -2.0, "grid_hi": 3.5}, 0.6160595068594874,
-             ((-0.3899999999999999, 0.7954087254686415), (1.48, 0.2045912745313585)), 70752),
-            ({"grid_lo": -4.0, "grid_hi": 1.5, "grid_step": 0.02, "m4_target": 0.3}, 0.2507381891701563,
-             ((-0.2799999999999998, 0.7984479943337562), (1.1000000000000005, 0.20155200566624376)), 15075),
-            ({"grid_step": 0.1, "m4_target": 2.5}, 1.1875693930421902,
-             ((-0.5, 0.8120605107327907), (1.9000000000000004, 0.18793948926720927)), 900),
-            ({"grid_lo": -1.7, "grid_hi": 2.9, "grid_step": 0.05, "m4_target": 5.0}, 2.0552923076923078,
-             ((-0.5999999999999999, 0.790934065934066), (2.2, 0.209065934065934)), 2006),
-            ({"grid_lo": -3.0, "grid_hi": 3.0, "grid_step": 0.25, "m4_target": 16.0}, 4.908496732026143,
-             ((-0.75, 0.8056160735899298), (3.0, 0.19438392641007018)), 170),
+            ({"grid_lo": -2.0, "grid_hi": 3.5}, 0.6160595068594873,
+             ((-0.3899999999999999, 0.7954087254686415), (1.48, 0.20459127453135845)), 70752),
+            ({"grid_lo": -4.0, "grid_hi": 1.5, "grid_step": 0.02, "m4_target": 0.3}, 0.2507381891701561,
+             ((-0.2799999999999998, 0.7984479943337564), (1.1000000000000005, 0.20155200566624365)), 15075),
+            ({"grid_step": 0.1, "m4_target": 2.5}, 1.1875693930421907,
+             ((-0.5, 0.8120605107327907), (1.9000000000000004, 0.18793948926720933)), 900),
+            ({"grid_lo": -1.7, "grid_hi": 2.9, "grid_step": 0.05, "m4_target": 5.0}, 2.055292307692308,
+             ((-0.5999999999999999, 0.790934065934066), (2.2, 0.20906593406593402)), 2006),
+            ({"grid_lo": -3.0, "grid_hi": 3.0, "grid_step": 0.25, "m4_target": 16.0}, 4.908496732026144,
+             ((-0.75, 0.8056160735899298), (3.0, 0.1943839264100702)), 170),
             # every {mass, m4} pair has m3 < 0; the best pair is {-1, 1} at mean 0,
             # which only the {mass, mean = 0} family prices (x^4 equal at both)
             ({"grid_lo": -2.0, "grid_hi": 1.0, "grid_step": 0.5}, 0.0, ((-1.0, 0.5), (1.0, 0.5)), 20),
@@ -449,8 +460,8 @@ class TestPairOracle:
         res = oracle_max_m3(self.cfg())
         assert res.max_m3 == 0.6160595068594868
         assert res.argmax.atoms == ((-0.3900000000000001, 0.7954087254686418), (1.4800000000000004, 0.20459127453135817))
-        # left tail x 201 middle points, and 201 middle points x right tail
-        assert res.candidates_examined == 2 * 201 * 201
+        # 402 outside points (x^4 >= 1, -1 and 1 included) x 201 inside points
+        assert res.candidates_examined == 402 * 201
 
     @pytest.mark.parametrize(
         "kwargs",
