@@ -11,12 +11,14 @@ oracle consults the closed forms, which makes them an independent check of
 the sharp constant (4/27)^(1/4).
 
 ``random_falsifier`` hammers the bounds with random discrete distributions,
-drawn and evaluated in bulk, and counts violations (expected: none).
+drawn from a counter-based SplitMix64 stream and evaluated in bulk, and
+counts violations (expected: none).
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from collections import namedtuple
 
 import numpy as np
@@ -59,15 +61,16 @@ MAX_PAIR_GRID_POINTS = 1_201
 
 #: Trials the falsifier draws and evaluates together, and violating trials
 #: a FalsifierReport lists by index.  One workspace of min(FALSIFIER_CHUNK,
-#: trials) trials (~1.5 MB at 4096) serves every chunk of a call; it is
-#: atom-major, one row per uniform, weight or power sum, so each step is a
-#: ufunc on contiguous rows.  Smaller chunks pay more per-call overhead:
-#: 1024 took ~1.8x as long as 4096 for 3e4 trials (2-CPU x86-64, numpy 2.4).
+#: trials) trials (1.5 MiB at 4096, one allocation) serves every chunk of a
+#: call; it is atom-major, one row per uniform, weight or power sum, so each
+#: step is a ufunc on contiguous rows.  Smaller chunks pay more per-call
+#: overhead: 1024 took ~1.5x as long as 4096 for 3e4 trials (2-CPU x86-64,
+#: numpy 2.4).
 FALSIFIER_CHUNK = 4096
 LISTED_VIOLATIONS = 10
 
 #: Most trials in one falsifier call, refused before anything is allocated:
-#: 10**8 take ~22 s at ~0.22 us per trial (1e6 in 0.22 s; 2-CPU x86-64, numpy 2.4).
+#: 10**8 take ~25 s at ~0.25 us per trial (1e6 in 0.25 s; 2-CPU x86-64, numpy 2.4).
 MAX_TRIALS = 10**8
 
 #: Most atoms in one falsifier trial, and the cut, in units of s^3, below
@@ -389,17 +392,46 @@ class ReplayedTrial(namedtuple("ReplayedTrial", "law moments scaled_margin")):
     __slots__ = ()
 
 
-def _stream(seed: int, skip: int = 0) -> np.random.Generator:
-    """The falsifier's uniforms for ``seed``, advanced past ``skip`` of them.
-
-    Each uniform takes one 64-bit draw, so trial i starts at draw
-    i * (2 * FALSIFIER_ATOMS + 1) however the trials are chunked.
-    """
+def _checked_seed(seed: int) -> int:
+    """``seed`` as an int, refused by name outside the stream's 0 <= seed < 2**64."""
+    seed = operator.index(seed)
     if seed < 0:
         raise ValueError("seed must be nonnegative")
-    bits = np.random.PCG64(seed)
-    bits.advance(skip)
-    return np.random.Generator(bits)
+    if seed >= 2**64:
+        raise ValueError("seed must be below 2**64")
+    return seed
+
+
+#: SplitMix64 (Steele, Lea & Flood 2014, OOPSLA): the state's increment
+#: (the golden gamma) and the finalizer's two (shift, multiplier) rounds.
+_GAMMA = 0x9E3779B97F4A7C15
+_ROUNDS = ((np.uint64(30), np.uint64(0xBF58476D1CE4E5B9)), (np.uint64(27), np.uint64(0x94D049BB133111EB)))
+
+
+def _uniforms(seed: int, start: int, u: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Uniforms on [0, 1) into u's rows: row r, column i gets uniform r of trial start + i.
+
+    Uniform r of trial t is SplitMix64 output k = m t + r + 1 from state
+    ``seed`` (m = u's rows, 2 FALSIFIER_ATOMS + 1): z = seed + k * _GAMMA mod
+    2**64, then z ^= z >> 30, z *= 0xBF58476D1CE4E5B9, z ^= z >> 27,
+    z *= 0x94D049BB133111EB, z ^= z >> 31, all mod 2**64; the uniform is
+    (z >> 12) * 2**-52, built in place as the double 1.m - 1.  Keyed by
+    (seed, t), so a trial is drawn without its predecessors, and Python ints
+    reproduce it.  ``scratch`` is uint64, of u's shape.
+    """
+    m, size = u.shape
+    z = u.view(np.uint64)
+    base = np.array([(seed + (m * start + r + 1) * _GAMMA) % 2**64 for r in range(m)], dtype=np.uint64)
+    np.multiply(np.arange(size, dtype=np.uint64), np.uint64(m * _GAMMA % 2**64), out=scratch[0])
+    np.add(scratch[0], base[:, None], out=z)
+    for shift, multiplier in _ROUNDS:
+        z ^= np.right_shift(z, shift, out=scratch)
+        z *= multiplier
+    z ^= np.right_shift(z, np.uint64(31), out=scratch)
+    z >>= np.uint64(12)
+    z |= np.uint64(0x3FF0000000000000)  # the exponent of [1, 2)
+    u -= 1.0
+    return u
 
 
 #: Compare-exchanges that sort 7 rows (a 16-comparator network): the
@@ -408,13 +440,16 @@ _SORT_7 = ((0, 6), (2, 3), (4, 5), (0, 2), (1, 4), (3, 6), (0, 1), (2, 5),
            (3, 4), (1, 2), (4, 6), (2, 3), (4, 5), (1, 2), (3, 4), (5, 6))
 
 
-def _workspace(size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Buffers for ``size`` trials, reused by every chunk of a call: the
-    draws trial by trial, as the stream yields them, and atom-major rows,
-    one column per trial: the 2n + 1 uniforms, n weights, 4 power sums and
-    2 scratch rows (n = FALSIFIER_ATOMS)."""
+def _workspace(size: int) -> np.ndarray:
+    """One buffer for ``size`` trials, reused by every chunk of a call,
+    atom-major, one column per trial: rows for the 2n + 1 uniforms, n
+    weights, 4 power sums, 2 scratch rows and the 2n + 1 rows that
+    ``_uniforms`` works in as uint64 (n = FALSIFIER_ATOMS).  As two
+    allocations (float rows, uint64 scratch), a process calling the
+    falsifier repeatedly re-faulted ~340 pages per 3e4-trial call against
+    ~25 as one, and took ~15% longer (2-CPU x86-64, glibc, numpy 2.4)."""
     n = FALSIFIER_ATOMS
-    return np.empty((size, 2 * n + 1)), np.empty((3 * n + 7, size))
+    return np.empty((5 * n + 8, size))
 
 
 def _trial_laws(u: np.ndarray, ws: np.ndarray, spare: np.ndarray) -> np.ndarray:
@@ -488,14 +523,12 @@ def _evaluate(m1, m2, m3, m4):
     return slacks, np.vstack([slacks < -FALSIFIER_TOL, ~psd])
 
 
-def _chunk(rng: np.random.Generator, work: tuple[np.ndarray, np.ndarray], size: int):
-    """Draw the next ``size`` trials into ``work`` and evaluate them:
-    (atoms, weights, power sums, slacks, flags), atom-major views of work."""
+def _chunk(seed: int, start: int, work: np.ndarray, size: int):
+    """Draw trials start..start + size - 1 of ``seed`` into ``work`` and evaluate
+    them: (atoms, weights, power sums, slacks, flags), atom-major views of work."""
     n = FALSIFIER_ATOMS
-    draws, rows = work[0][:size], work[1][:, :size]
-    rng.random(out=draws)
-    u, ws, sums, spare = np.split(rows, [2 * n + 1, 3 * n + 1, 3 * n + 5])
-    np.copyto(u, draws.T)
+    u, ws, sums, spare, scratch = np.split(work[:, :size], [2 * n + 1, 3 * n + 1, 3 * n + 5, 3 * n + 7])
+    _uniforms(seed, start, u, scratch.view(np.uint64))
     xs = _trial_laws(u, ws, spare)
     _power_sums(xs, ws, sums, spare[0])
     return (xs, ws, sums, *_evaluate(*sums))
@@ -509,17 +542,17 @@ def random_falsifier(trials: int, seed: int) -> FalsifierReport:
     FALSIFIER_TOL s^3, s = m4^(1/4), the unit of ``BoundResult.scaled_slack``.
     Trials, at most MAX_TRIALS, go in chunks of FALSIFIER_CHUNK through one
     workspace; the result is the same for any chunk size and fully
-    reproducible from ``seed``.
+    reproducible from ``seed``, 0 <= seed < 2**64 (``_uniforms``).
     """
     if not 0 < trials <= MAX_TRIALS:
         raise ValueError(f"trials must be in 1..{MAX_TRIALS}")
-    rng = _stream(seed)
+    seed = _checked_seed(seed)
     work = _workspace(min(FALSIFIER_CHUNK, trials))
     counts = np.zeros(4, dtype=np.int64)
     worst, worst_trial = math.inf, 0
     listed: list[int] = []
     for start in range(0, trials, FALSIFIER_CHUNK):
-        *_, slacks, flags = _chunk(rng, work, min(FALSIFIER_CHUNK, trials - start))
+        *_, slacks, flags = _chunk(seed, start, work, min(FALSIFIER_CHUNK, trials - start))
         counts += flags.sum(axis=1)
         margin = slacks.min(axis=0)
         k = int(np.argmin(margin))
@@ -536,7 +569,7 @@ def replay_trial(seed: int, index: int) -> ReplayedTrial:
     falsifier's own arithmetic: its moments and margin are the ones seen."""
     if index < 0:
         raise ValueError("index must be nonnegative")
-    xs, ws, sums, slacks, _ = _chunk(_stream(seed, index * (2 * FALSIFIER_ATOMS + 1)), _workspace(1), 1)
+    xs, ws, sums, slacks, _ = _chunk(_checked_seed(seed), operator.index(index), _workspace(1), 1)
     law = DiscreteDistribution(zip(xs[:, 0], ws[:, 0]))
     mv = MomentVector(1.0, *(float(m[0]) for m in sums))
     return ReplayedTrial(law, mv, float(slacks[:, 0].min()))

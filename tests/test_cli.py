@@ -417,6 +417,13 @@ class TestVerifyCommand:
         assert (code, report) == (2, None)
         assert err == "momentbounds: seed must be nonnegative\n"
 
+    def test_seed_above_range_exit_2(self, capsys):
+        code, report, err = run(capsys, "verify", "--seed", str(2**64), "--trials", "10")
+        assert (code, report) == (2, None)
+        assert err == "momentbounds: seed must be below 2**64\n"
+        code, report, _ = run(capsys, "verify", "--seed", str(2**64 - 1), "--trials", "10", "--step", "0.5")
+        assert code == 1 and report["input"]["seed"] == 2**64 - 1  # the coarse grid's verdict, not the seed's
+
 
 @pytest.mark.parametrize(
     "argv",
@@ -643,6 +650,60 @@ def test_scalar_subcommands_import_no_numpy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "ok"
+
+
+#: The falsifier, a replay and a verify run, none of which loads numpy.random;
+#: prints "eager" instead if numpy imports it with itself, as older releases do.
+NO_NUMPY_RANDOM = """
+import contextlib, io, sys
+import numpy
+if "numpy.random" in sys.modules:
+    print("eager"); sys.exit()
+from momentbounds import random_falsifier, replay_trial
+from momentbounds.cli import main
+
+random_falsifier(10, 0)
+assert "numpy.random" not in sys.modules, "random_falsifier loaded numpy.random"
+replay_trial(0, 3)
+assert "numpy.random" not in sys.modules, "replay_trial loaded numpy.random"
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["verify", "--step", "0.5", "--trials", "10"]) == 1
+assert "numpy.random" not in sys.modules, "verify loaded numpy.random"
+print("ok")
+"""
+
+
+def test_falsifier_does_not_load_numpy_random():
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_NUMPY_RANDOM],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    if proc.stdout.strip() == "eager":
+        pytest.skip("this numpy imports numpy.random with numpy itself")
+    assert proc.stdout.strip() == "ok"
+
+
+def test_unknown_attribute_raises_without_importing_numpy():
+    code = """import sys, momentbounds
+try:
+    momentbounds.no_such_name
+except AttributeError as exc:
+    print(exc)
+assert "numpy" not in sys.modules and "momentbounds.oracle" not in sys.modules
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "module 'momentbounds' has no attribute 'no_such_name'\n"
 
 
 #: With numpy's import blocked, as on a system without numpy, takes the

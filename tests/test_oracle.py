@@ -649,19 +649,46 @@ class TestRandomFalsifier:
             random_falsifier(trials=0, seed=1)
         with pytest.raises(ValueError):
             replay_trial(1, -1)
-        with pytest.raises(ValueError, match="seed"):
+        with pytest.raises(ValueError, match="seed must be nonnegative"):
             random_falsifier(10, -1)
-        with pytest.raises(ValueError, match="seed"):
+        with pytest.raises(ValueError, match="seed must be nonnegative"):
             replay_trial(-1, 0)
+        with pytest.raises(ValueError, match=r"seed must be below 2\*\*64"):
+            random_falsifier(10, 2**64)
+        with pytest.raises(ValueError, match=r"seed must be below 2\*\*64"):
+            replay_trial(2**64, 0)
+        with pytest.raises(TypeError):
+            random_falsifier(10, 1.5)
 
     def test_trials_capped_before_allocation(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("allocated")
 
         monkeypatch.setattr(oracle, "_workspace", refuse)
-        monkeypatch.setattr(oracle, "_stream", refuse)
+        monkeypatch.setattr(oracle, "_uniforms", refuse)
         with pytest.raises(ValueError, match="trials must be in 1"):
             random_falsifier(oracle.MAX_TRIALS + 1, 0)
+        # the seed is refused before allocation too
+        with pytest.raises(ValueError, match="seed must be below"):
+            random_falsifier(10, 2**64)
+        with pytest.raises(ValueError, match="seed must be below"):
+            replay_trial(2**64, 0)
+
+    @pytest.mark.parametrize("seed", [0, 42, 2**64 - 1])
+    def test_uniforms_are_splitmix64(self, seed):
+        def splitmix_uniform(seed, trial, r):  # the stream in Python ints, from Steele, Lea & Flood (2014)
+            mask = 2**64 - 1
+            z = (seed + (17 * trial + r + 1) * 0x9E3779B97F4A7C15) & mask
+            z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+            z ^= z >> 31
+            return (z >> 12) * 2.0**-52
+
+        assert 2 * oracle.FALSIFIER_ATOMS + 1 == 17
+        for start, size in ((0, 2), (4095, 2), (oracle.MAX_TRIALS - 1, 1)):  # trials 0, 1, 4095, 4096 and the last
+            u = oracle._uniforms(seed, start, np.empty((17, size)), np.empty((17, size), dtype=np.uint64))
+            want = [[splitmix_uniform(seed, start + i, r) for i in range(size)] for r in range(17)]
+            assert u.tolist() == want
 
     def test_single_trial(self):
         rep = random_falsifier(1, 0)
@@ -683,11 +710,11 @@ class TestRandomFalsifier:
         assert rep.eq_quarter_violations == 40
         assert rep.violating_trials == tuple(range(oracle.LISTED_VIOLATIONS))
 
-    #: Reports of the chunk-by-chunk falsifier before its atom-major rewrite.
+    #: Reports under the SplitMix64 stream (``test_uniforms_are_splitmix64``).
     PINNED = {
-        (1, 0): oracle.FalsifierReport(1, 0, 0, 0, 0, 0.03511468328782252, 0, ()),
-        (4097, 3): oracle.FalsifierReport(4097, 0, 0, 0, 0, 4.163336342344337e-16, 1831, ()),
-        (30000, 7): oracle.FalsifierReport(30000, 0, 0, 0, 0, 1.5265566588595902e-16, 20763, ()),
+        (1, 0): oracle.FalsifierReport(1, 0, 0, 0, 0, 0.2475426946789022, 0, ()),
+        (4097, 3): oracle.FalsifierReport(4097, 0, 0, 0, 0, 3.885780586188048e-16, 1820, ()),
+        (30000, 7): oracle.FalsifierReport(30000, 0, 0, 0, 0, 1.8041124150158794e-16, 9652, ()),
     }
 
     @pytest.mark.parametrize("trials, seed", sorted(PINNED))
@@ -695,6 +722,8 @@ class TestRandomFalsifier:
         rep = random_falsifier(trials, seed)
         assert rep == self.PINNED[trials, seed]  # worst_scaled_slack included
         assert replay_trial(seed, rep.worst_trial).scaled_margin == rep.worst_scaled_slack
+        # numpy integers key the stream as Python ints do
+        assert replay_trial(np.uint64(seed), np.int64(rep.worst_trial)).scaled_margin == rep.worst_scaled_slack
 
     def test_cut_network_sorts(self):
         # a comparator network sorts every input iff it sorts every 0-1 input
@@ -722,7 +751,7 @@ class TestRandomFalsifier:
         )
         assert scalar == pytest.approx(trial.scaled_margin, abs=1e-13)
 
-    @pytest.mark.parametrize("seed, index", [(42, 0), (7, 20763), (3, 1831)])
+    @pytest.mark.parametrize("seed, index", [(42, 0), (7, 9652), (3, 1820)])  # two PINNED worst trials
     def test_slack_rows_are_the_scalar_slacks(self, seed, index):
         mv = replay_trial(seed, index).moments
         slacks, flags = oracle._evaluate(*(np.array([m]) for m in mv[1:]))
