@@ -10,8 +10,9 @@ The package computes moments of discrete distributions, checks Hankel
 certificates, and verifies sharpness with an independent LP oracle whose
 optima carry dual certificates.
 
-The oracle, and with it numpy, is imported on first use of one of its
-names, so the scalar API loads only the standard library.
+The oracle is imported on first use of one of its names, and numpy with
+the oracle's first LP, pair block or falsifier chunk, so the scalar API
+and the oracle's configuration and records load only the standard library.
 """
 
 import importlib

@@ -23,7 +23,7 @@ Exit codes:
     5  stdout was closed before the report was written (as in
        ``momentbounds bound ... | head -3``)
 
-Only ``verify`` imports the oracle, and with it numpy.
+Only ``verify`` imports the oracle and numpy.
 """
 
 from __future__ import annotations
@@ -198,6 +198,7 @@ def cmd_extremal(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
 def cmd_verify(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
     try:
         from .oracle import FALSIFIER_TOL, OracleConfig, oracle_max_m3, random_falsifier
+        import numpy  # noqa: F401  second: imported first, it raised the process's peak RSS by ~1.5 MB
     except ImportError as exc:  # numpy is missing or broken; the other commands do not need it
         raise ValueError(f"verify needs numpy, which failed to import ({exc}); install it with: pip install numpy") from None
 

@@ -13,6 +13,9 @@ the sharp constant (4/27)^(1/4).
 ``random_falsifier`` hammers the bounds with random discrete distributions,
 drawn from a counter-based SplitMix64 stream and evaluated in bulk, and
 counts violations (expected: none).
+
+numpy loads with the first LP, pair block or falsifier chunk, not with this
+module: its configuration, its records and its argument checks need none.
 """
 
 from __future__ import annotations
@@ -20,8 +23,6 @@ from __future__ import annotations
 import math
 import operator
 from collections import namedtuple
-
-import numpy as np
 
 from . import _ORACLE_NAMES
 from .bounds import quarter_bound, sqrt_bound
@@ -35,6 +36,10 @@ from .moments import (
     psd_verdict,
     standardize,
 )
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = list(_ORACLE_NAMES)
 
@@ -119,6 +124,7 @@ class OracleConfig(namedtuple("OracleConfig", "grid_lo grid_hi grid_step m4_targ
         return int(math.floor((self.grid_hi - self.grid_lo) / self.grid_step + 1e-9)) + 1
 
     def grid(self) -> np.ndarray:
+        import numpy as np
         return self.grid_lo + self.grid_step * np.arange(self.size)
 
 
@@ -158,6 +164,7 @@ def _simplex(AT, abs_at, b, c, basis, n):
     afresh and priced again before it is called optimal.  Leaves the
     optimal basis in ``basis`` and returns (pivots, columns priced).
     """
+    import numpy as np
     m, abs_c = len(b), np.abs(c[:n])
     zero = PRICE_TOL * max(1.0, np.abs(b).max())
     inv, c_b, fresh = np.linalg.inv(AT[basis].T), c[basis], True
@@ -213,6 +220,7 @@ def lp_max(A: np.ndarray, b: np.ndarray, *costs: np.ndarray) -> list[LPSolution]
     mean-row slack of ``oracle_max_m3``, a grid point at x = 0): a dual of the
     wrong sign there is round-off, and is set to 0.  Deterministic.
     """
+    import numpy as np
     m, n = A.shape
     row_max, tiny = np.abs(A).max(axis=1), np.finfo(float).tiny
     rows = np.where(b < 0.0, -1.0, 1.0) / np.where(row_max >= tiny, row_max, 1.0)
@@ -252,6 +260,7 @@ def check_certificate(A, b, c, x, y) -> None:
     Checks x >= 0, A x = b, A^T y >= c on every column and c @ x = b @ y,
     each to CERTIFICATE_TOL relative to the magnitudes of its terms.
     """
+    import numpy as np
     tol = CERTIFICATE_TOL
     abs_a = np.abs(A)
     checks = {
@@ -273,6 +282,7 @@ def oracle_max_m3(cfg: OracleConfig) -> OracleResult:
     are of unit size at any scale (m3 and the dual are scaled back).
     ``max_support=2`` prices pairs instead.
     """
+    import numpy as np
     g = cfg.grid()
     if cfg.max_support == 2:
         return _max_m3_pairs(cfg, g)
@@ -295,10 +305,10 @@ def oracle_max_m3(cfg: OracleConfig) -> OracleResult:
 
 def _mix(p, a, b, out, tmp):
     """p * a + (1.0 - p) * b, rounded as that expression is, into ``out``."""
+    import numpy as np
     return np.add(np.multiply(p, a, out=out), np.multiply(np.subtract(1.0, p, out=tmp), b, out=tmp), out=out)
 
 
-@np.errstate(divide="ignore", invalid="ignore")
 def _max_m3_pairs(cfg: OracleConfig, g: np.ndarray) -> OracleResult:
     """Best law on at most two grid points, pricing only the pairs that can reach m4.
 
@@ -312,29 +322,31 @@ def _max_m3_pairs(cfg: OracleConfig, g: np.ndarray) -> OracleResult:
     point with itself gets p = 0/0 or x/0 and is never admitted.  Ties go to
     the first family, then to the first pair in (row, column) order.
     """
-    target = cfg.m4_target
-    q, c = g**4, g**3
-    rows, cols = np.flatnonzero(q >= target), np.flatnonzero(q <= target)
-    xi, qi, ci, xj, qj, cj = g[rows, None], q[rows, None], c[rows, None], g[cols], q[cols], c[cols]
-    p, t, u = np.empty((3, rows.size, cols.size))  # one allocation for both families; three were re-faulted per call
-    found = [(np.inf, 0, 0, 0, 0.0)]  # (-m3, family, i, j, p): the least wins
-    for family in (0, 1):
-        if family == 0:  # p is in [0, 1] or NaN (0/0), which fails the mean test; about half the block passes
-            ok = _mix(np.divide(target - qj, np.subtract(qi, qj, out=p), out=p), xi, xj, t, u) <= 0.0
-            m3, cells = _mix(p, ci, cj, t, u), range(p.size)
-            m3[~ok] = -np.inf
-        else:  # few cells: m4 comes out exact only by chance or symmetry
-            ok = (_mix(np.divide(xj, np.subtract(xj, xi, out=p), out=p), qi, qj, t, u) == target) & (p >= 0.0) & (p <= 1.0)
-            cells = np.flatnonzero(ok)
-            m3 = p.flat[cells] * ci.flat[cells // cols.size] + (1.0 - p.flat[cells]) * cj[cells % cols.size]
-        if ok.any():
-            k = int(np.argmax(m3))
-            i, j = divmod(int(cells[k]), cols.size)
-            found.append((-float(m3.flat[k]), family, int(rows[i]), int(cols[j]), float(p[i, j])))
-    neg_m3, _, i, j, w = min(found)
-    if neg_m3 == np.inf:
-        raise InfeasibleMomentsError("infeasible configuration")
-    return OracleResult(-neg_m3, DiscreteDistribution(((g[i], w), (g[j], 1.0 - w))), p.size)
+    import numpy as np
+    with np.errstate(divide="ignore", invalid="ignore"):
+        target = cfg.m4_target
+        q, c = g**4, g**3
+        rows, cols = np.flatnonzero(q >= target), np.flatnonzero(q <= target)
+        xi, qi, ci, xj, qj, cj = g[rows, None], q[rows, None], c[rows, None], g[cols], q[cols], c[cols]
+        p, t, u = np.empty((3, rows.size, cols.size))  # one allocation for both families; three were re-faulted per call
+        found = [(np.inf, 0, 0, 0, 0.0)]  # (-m3, family, i, j, p): the least wins
+        for family in (0, 1):
+            if family == 0:  # p is in [0, 1] or NaN (0/0), which fails the mean test; about half the block passes
+                ok = _mix(np.divide(target - qj, np.subtract(qi, qj, out=p), out=p), xi, xj, t, u) <= 0.0
+                m3, cells = _mix(p, ci, cj, t, u), range(p.size)
+                m3[~ok] = -np.inf
+            else:  # few cells: m4 comes out exact only by chance or symmetry
+                ok = (_mix(np.divide(xj, np.subtract(xj, xi, out=p), out=p), qi, qj, t, u) == target) & (p >= 0.0) & (p <= 1.0)
+                cells = np.flatnonzero(ok)
+                m3 = p.flat[cells] * ci.flat[cells // cols.size] + (1.0 - p.flat[cells]) * cj[cells % cols.size]
+            if ok.any():
+                k = int(np.argmax(m3))
+                i, j = divmod(int(cells[k]), cols.size)
+                found.append((-float(m3.flat[k]), family, int(rows[i]), int(cols[j]), float(p[i, j])))
+        neg_m3, _, i, j, w = min(found)
+        if neg_m3 == np.inf:
+            raise InfeasibleMomentsError("infeasible configuration")
+        return OracleResult(-neg_m3, DiscreteDistribution(((g[i], w), (g[j], 1.0 - w))), p.size)
 
 
 def oracle_extreme_m3_given(
@@ -349,6 +361,7 @@ def oracle_extreme_m3_given(
     """
     if not all(math.isfinite(v) for v in (m1, m2, m4)):
         raise ValueError("non-finite moment")
+    import numpy as np
     s = fourth_root(cfg.m4_target)
     z = cfg.grid() / s
     A = np.vstack([np.ones_like(z), z, z**2, z**4])
@@ -405,7 +418,7 @@ def _checked_seed(seed: int) -> int:
 #: SplitMix64 (Steele, Lea & Flood 2014, OOPSLA): the state's increment
 #: (the golden gamma) and the finalizer's two (shift, multiplier) rounds.
 _GAMMA = 0x9E3779B97F4A7C15
-_ROUNDS = ((np.uint64(30), np.uint64(0xBF58476D1CE4E5B9)), (np.uint64(27), np.uint64(0x94D049BB133111EB)))
+_ROUNDS = ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB))
 
 
 def _uniforms(seed: int, start: int, u: np.ndarray, scratch: np.ndarray) -> np.ndarray:
@@ -419,14 +432,15 @@ def _uniforms(seed: int, start: int, u: np.ndarray, scratch: np.ndarray) -> np.n
     (seed, t), so a trial is drawn without its predecessors, and Python ints
     reproduce it.  ``scratch`` is uint64, of u's shape.
     """
+    import numpy as np
     m, size = u.shape
     z = u.view(np.uint64)
     base = np.array([(seed + (m * start + r + 1) * _GAMMA) % 2**64 for r in range(m)], dtype=np.uint64)
     np.multiply(np.arange(size, dtype=np.uint64), np.uint64(m * _GAMMA % 2**64), out=scratch[0])
     np.add(scratch[0], base[:, None], out=z)
-    for shift, multiplier in _ROUNDS:
-        z ^= np.right_shift(z, shift, out=scratch)
-        z *= multiplier
+    for shift, multiplier in _ROUNDS:  # as uint64 scalars: under numpy 1.x casting a Python int can leave uint64
+        z ^= np.right_shift(z, np.uint64(shift), out=scratch)
+        z *= np.uint64(multiplier)
     z ^= np.right_shift(z, np.uint64(31), out=scratch)
     z >>= np.uint64(12)
     z |= np.uint64(0x3FF0000000000000)  # the exponent of [1, 2)
@@ -448,6 +462,7 @@ def _workspace(size: int) -> np.ndarray:
     allocations (float rows, uint64 scratch), a process calling the
     falsifier repeatedly re-faulted ~340 pages per 3e4-trial call against
     ~25 as one, and took ~15% longer (2-CPU x86-64, glibc, numpy 2.4)."""
+    import numpy as np
     n = FALSIFIER_ATOMS
     return np.empty((5 * n + 8, size))
 
@@ -464,6 +479,7 @@ def _trial_laws(u: np.ndarray, ws: np.ndarray, spare: np.ndarray) -> np.ndarray:
     draws close to the m1 = 0 boundary where the bounds are sharp.  Works
     in place: u and spare are overwritten.
     """
+    import numpy as np
     n = FALSIFIER_ATOMS
     xs, cuts = u[2 : 2 + n], list(u[2 + n :])
     t, tmp = spare
@@ -496,6 +512,7 @@ def _trial_laws(u: np.ndarray, ws: np.ndarray, spare: np.ndarray) -> np.ndarray:
 def _power_sums(xs: np.ndarray, ws: np.ndarray, sums: np.ndarray, term: np.ndarray) -> np.ndarray:
     """sums[p - 1] = sum_j ws[j] xs[j]^p for p = 1..4, added atom by atom in
     a fixed order, so a trial's sums do not depend on its chunk."""
+    import numpy as np
     np.multiply(ws[0], xs[0], out=sums[0])
     for p in range(1, 4):
         np.multiply(sums[p - 1], xs[0], out=sums[p])
@@ -517,6 +534,7 @@ def _evaluate(m1, m2, m3, m4):
     and the ends of ``m3_interval`` on X / s read one covariance and one
     radius.  Slacks and the cut FALSIFIER_TOL are in units of s^3.
     """
+    import numpy as np
     _, (a1, a2, a3, a4) = standardize(m1, m2, m3, m4)
     (psd, _, r), center = psd_verdict(a1, a2, a3, a4), a1 * a2
     slacks = np.stack([sqrt_bound(a2, a4) - a3, quarter_bound(a4) - a3, np.minimum(a3 - (center - r), center + r - a3)])
@@ -526,6 +544,7 @@ def _evaluate(m1, m2, m3, m4):
 def _chunk(seed: int, start: int, work: np.ndarray, size: int):
     """Draw trials start..start + size - 1 of ``seed`` into ``work`` and evaluate
     them: (atoms, weights, power sums, slacks, flags), atom-major views of work."""
+    import numpy as np
     n = FALSIFIER_ATOMS
     u, ws, sums, spare, scratch = np.split(work[:, :size], [2 * n + 1, 3 * n + 1, 3 * n + 5, 3 * n + 7])
     _uniforms(seed, start, u, scratch.view(np.uint64))
@@ -547,6 +566,7 @@ def random_falsifier(trials: int, seed: int) -> FalsifierReport:
     if not 0 < trials <= MAX_TRIALS:
         raise ValueError(f"trials must be in 1..{MAX_TRIALS}")
     seed = _checked_seed(seed)
+    import numpy as np
     work = _workspace(min(FALSIFIER_CHUNK, trials))
     counts = np.zeros(4, dtype=np.int64)
     worst, worst_trial = math.inf, 0

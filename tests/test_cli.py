@@ -618,6 +618,13 @@ assert list(momentbounds.__all__[-len(momentbounds.oracle.__all__):]) == momentb
 namespace = {}
 exec("from momentbounds import *", namespace)
 assert all(name in namespace for name in momentbounds.__all__)
+cfg = namespace["OracleConfig"](grid_step=0.5)
+assert cfg.size == 13
+report = namespace["FalsifierReport"](10, 0, 0, 0, 0, 0.25, 3, ())
+assert report.total_violations == 0
+assert "numpy" not in sys.modules, "the oracle's names, configuration or records imported numpy"
+print(repr(namespace["oracle_max_m3"](cfg).max_m3))
+assert "numpy" in sys.modules
 print("ok")
 """
 
@@ -649,7 +656,35 @@ def test_scalar_subcommands_import_no_numpy():
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "ok"
+    max_m3, ok = proc.stdout.split()
+    assert ok == "ok"
+    assert max_m3 == repr(oracle.oracle_max_m3(oracle.OracleConfig(grid_step=0.5)).max_m3)
+
+
+#: Calls that their argument checks refuse, with the message of each.
+REFUSED_CALLS = (
+    ("random_falsifier(0, 1)", f"trials must be in 1..{oracle.MAX_TRIALS}"),
+    ("random_falsifier(10, -1)", "seed must be nonnegative"),
+    ("random_falsifier(10, 2**64)", "seed must be below 2**64"),
+    ("replay_trial(0, -1)", "index must be nonnegative"),
+    ("OracleConfig(grid_step=0)", "grid_step must be positive"),
+)
+
+
+def test_refused_calls_do_not_load_numpy():
+    code = "import sys\nfrom momentbounds import *\n"
+    for call, _ in REFUSED_CALLS:
+        code += f"try:\n    {call}\nexcept ValueError as exc:\n    print(exc)\nelse:\n    print('accepted')\n"
+    code += "print('numpy' in sys.modules)\n"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [*(message for _, message in REFUSED_CALLS), "False"]
 
 
 #: The falsifier, a replay and a verify run, none of which loads numpy.random;
@@ -707,10 +742,13 @@ assert "numpy" not in sys.modules and "momentbounds.oracle" not in sys.modules
 
 
 #: With numpy's import blocked, as on a system without numpy, takes the
-#: Hankel rows of the library, then runs the CLI.
+#: Hankel rows of the library and every public name, configures the oracle,
+#: then runs the CLI.
 NO_NUMPY = """import sys; sys.modules['numpy'] = None
 import momentbounds as mb
 assert mb.hankel(mb.MomentVector(1, 0, 2, 2, 6)) == ((1, 0, 2), (0, 2, 2), (2, 2, 6))
+from momentbounds import *
+assert OracleConfig(grid_step=0.5).size == 13
 from momentbounds.cli import main; sys.exit(main(sys.argv[1:]))"""
 
 
