@@ -5,9 +5,9 @@ For any random variable with E X <= 0 and finite fourth moment,
     m3 <= sqrt(m4 m2 - m2^3) <= (4/27)^(1/4) m4^(3/4),
 
 and both bounds are attained exactly by zero-mean two-point distributions.
-This module evaluates the bounds, detects tightness, constructs the
-attaining distributions, and extracts a support certificate from a
-singular Hankel matrix.  Without the sign condition on m1, ``m3_interval``
+This module evaluates the bounds, and one boundary law of X / s,
+s = m4^(1/4), decides tightness, the attaining witnesses and the Hankel
+certificate.  Without the sign condition on m1, ``m3_interval``
 gives the two-sided range of m3 compatible with (m1, m2, m4), its ends
 widened by the PSD verdict's rounding allowance (+-5.96e-8 s^3 for the
 Rademacher law, whose exact range is {0}).  The sqrt bound carries the
@@ -23,9 +23,9 @@ from .moments import (
     DiscreteDistribution,
     InfeasibleMomentsError,
     MomentVector,
+    allowance,
     cov_radius,
     covariance,
-    floor_at,
     psd_tol,
     root,
     standardize,
@@ -57,10 +57,6 @@ QUARTER_CONSTANT = (4.0 / 27.0) ** 0.25
 EXTREMAL_U_FACTOR = (math.sqrt(3.0) - 1.0) / math.sqrt(2.0)
 EXTREMAL_V_FACTOR = (math.sqrt(3.0) + 1.0) / math.sqrt(2.0)
 
-#: The tol of tightness verdicts and certificates, on quantities of X / s
-#: (s = m4^(1/4)): the slack / s^3, det H and the reproduced moments.
-DEFAULT_TIGHT_TOL = 1e-8
-
 #: Rounding headroom on the m1 <= 0 precondition, relative to s: zero-mean
 #: two-point constructions can carry a one-ulp positive mean after
 #: normalization.
@@ -77,7 +73,7 @@ class BoundResult(namedtuple("BoundResult", "bound slack scaled_slack tight witn
     (a ``DiscreteDistribution``, else None).
 
     ``scaled_slack`` is slack / s^3 with s = m4^(1/4), the slack of X / s;
-    tightness is judged on it (see ``bound_sqrt`` and ``bound_quarter``).
+    tightness is judged on the law, not on it (see ``_bound_result``).
     """
 
     __slots__ = ()
@@ -92,19 +88,14 @@ class MomentInterval(namedtuple("MomentInterval", "lo hi")):
 class Certificate(namedtuple("Certificate", "coeffs roots recovered")):
     """Null vector of a singular Hankel matrix and the distribution it pins down.
 
-    coeffs is a unit vector (a0, a1, a2) with a0 + a1 X + a2 X^2 = 0 almost
-    surely, its leading coefficient positive at any scale of X (a2 for two
-    points, a1 with a2 = 0 for a point mass); its real roots (a tuple) are
-    the support points of the unique boundary distribution, ``recovered``
-    with the weights that match m0 to m3.
+    ``recovered`` is the law on at most two points with the given moments,
+    ``roots`` (a tuple) its support, and coeffs the unit vector (a0, a1, a2)
+    with a0 + a1 X + a2 X^2 = 0 almost surely, its leading coefficient
+    positive at any scale of X (a2 for two points, a1 with a2 = 0 for a
+    point mass).
     """
 
     __slots__ = ()
-
-
-def _require_feasible(mv: MomentVector) -> None:
-    if not mv.psd:
-        raise InfeasibleMomentsError("not a moment vector")
 
 
 def sqrt_bound(m2, m4):
@@ -133,55 +124,52 @@ def bound_trivial(mv: MomentVector) -> float:
     return mv.m4**0.75
 
 
-def _bound_result(mv: MomentVector, unit_bounds, witness) -> BoundResult:
-    """BoundResult from the bound of X / s; ``witness()`` gives the atoms of the witness of X / s.
+def _boundary_law(mv: MomentVector):
+    """Atoms (x, p) of X / s of the law on at most two points with mv's moments, or None.
 
-    ``unit_bounds`` is the bound of X / s and the same without its rounding
-    allowance.  Tight when the standardized m3 is within tol of the range
-    between them and the witness is finite and reproduces the standardized
-    m2, m3 and m4 within tol: a small slack alone does not make a law attain
-    the bound.  Checks the preconditions of both sharp bounds: m1 <= 0 and
-    H PSD.  For s = 0 (m4 = 0) both bounds and the witness are 0.
+    H is singular, the rank <= 2 case of Curto & Fialkow 1991, when
+    d = ab - c^2, (a, b, c) = ``mv.cov``, is 0 within the ``allowance`` of
+    its terms.  The law is then the point mass at m1 when a and b are 0
+    within their own 8 ulps, else the law on two points with mean m1,
+    variance a > 0 and third central moment c - 2 m1 a.
     """
+    a1, a2, a3, a4 = mv.unit
+    a, b, c = mv.cov
+    if abs(a) <= allowance(a2 + a1 * a1) and abs(b) <= allowance(a4 + a2 * a2):
+        return ((a1, 1.0),)
+    terms = a * (a4 + a2 * a2) + abs(b) * (a2 + a1 * a1) + 2.0 * abs(c) * (abs(a3) + abs(a1 * a2))
+    if a <= 0.0 or abs(a * b - c * c) > allowance(terms, mv.m4):
+        return None
+    return _two_point(a1, a, c - 2.0 * a1 * a)
+
+
+def _bound_result(mv: MomentVector, unit_bound: float, attained: bool) -> BoundResult:
+    """BoundResult from the bound of X / s, tight when ``attained`` and X / s
+    has a ``_boundary_law`` with |m1| <= M1_PRECONDITION_TOL and c >= 0
+    within the ``allowance`` of its terms (with c < 0 it sits at the lower
+    end of its m3 range); the witness is that law, scaled back.  Checks the
+    preconditions of both sharp bounds: m1 <= 0 and H PSD."""
     if not mean_nonpositive(mv):
         raise ValueError("precondition m1 <= 0 violated (use m3_interval)")
-    _require_feasible(mv)
-    (unit_bound, plain), s = unit_bounds, mv.s
-    scaled_slack = unit_bound - mv.unit[2]
+    if not mv.psd:
+        raise InfeasibleMomentsError("not a moment vector")
+    (a1, a2, a3, _), s = mv.unit, mv.s
+    at_top = attained and abs(a1) <= M1_PRECONDITION_TOL and mv.cov[2] >= -allowance(abs(a3) + abs(a1 * a2), mv.m4)
+    law = _boundary_law(mv) if at_top else None
     bound = unit_bound * s * s * s
-    tol = DEFAULT_TIGHT_TOL
-    atoms = witness() if -tol <= scaled_slack and plain - mv.unit[2] <= tol else ()
-    tight = bool(atoms) and _reproduces(atoms, mv.unit)
-    law = DiscreteDistribution((s * x, p) for x, p in atoms) if tight else None
-    return BoundResult(bound, bound - mv.m3, scaled_slack, tight, law)
-
-
-def _reproduces(atoms, unit) -> bool:
-    """The atoms (x, p) have the m2, m3 and m4 of unit within tol; non-finite
-    atoms never do (their sums are inf or nan)."""
-    m2 = m3 = m4 = 0.0
-    for x, p in atoms:
-        t = p * x * x
-        m2 += t
-        m3 += t * x
-        m4 += t * x * x
-    _, a2, a3, a4 = unit
-    tol = DEFAULT_TIGHT_TOL
-    return abs(m2 - a2) <= tol and abs(m3 - a3) <= tol and abs(m4 - a4) <= tol
+    witness = law and DiscreteDistribution((x * (s or 1.0), p) for x, p in law)
+    return BoundResult(bound, bound - mv.m3, unit_bound - a3, law is not None, witness)
 
 
 def bound_sqrt(mv: MomentVector) -> BoundResult:
     """The bound m3 <= sqrt(m4 m2 - m2^3), valid when m1 <= 0.
 
-    Tight exactly for the zero-mean two-point distributions; when tight,
-    the witness is the zero-mean law on two points with the given m2 and m3.
-    The verdict and the witness are computed for X / s, s = m4^(1/4).  The
+    Tight exactly for the zero-mean two-point laws with m3 >= 0 and the
+    point mass at 0, each its own witness (see ``_bound_result``).  The
     bound is ``sqrt_bound``, with the PSD verdict's rounding allowance
     (5.96e-8 s^3 for the Rademacher law, which is tight).
     """
-    _, a2, a3, a4 = mv.unit
-    plain = root(floor_at(a4 * a2 - a2 * a2 * a2, 0.0))
-    return _bound_result(mv, (sqrt_bound(a2, a4), plain), lambda: _two_point(0.0, a2, a3) if a2 > 0.0 else ((0.0, 1.0),))
+    return _bound_result(mv, sqrt_bound(mv.unit[1], mv.unit[3]), True)
 
 
 def _two_point(mean: float, var: float, k3: float) -> tuple[tuple[float, float], tuple[float, float]]:
@@ -200,18 +188,13 @@ def bound_quarter(mv: MomentVector) -> BoundResult:
     """The sharp bound m3 <= (4/27)^(1/4) m4^(3/4), valid when m1 <= 0.
 
     Obtained from ``bound_sqrt`` by maximizing over m2, with maximizer
-    m2 = sqrt(m4/3); tight exactly for ``extremal_from_sigma`` distributions.
-    When tight, the witness is the one with the same m4 (3 sigma^4 = m4),
-    which attains the bound.  The verdict and the witness are computed for
-    X / s, s = m4^(1/4).
+    m2 = sqrt(m4/3); tight exactly for ``extremal_from_sigma`` distributions:
+    when ``bound_sqrt`` is and the bound of X / s is its m3 within their
+    ``allowance``.  The witness is the law itself.
     """
-    a4 = mv.unit[3]
-
-    def witness() -> tuple[tuple[float, float], ...]:
-        return extremal_from_sigma((a4 / 3.0) ** 0.25).atoms if a4 > 0.0 else ((0.0, 1.0),)
-
+    a3, a4 = mv.unit[2:]
     q = quarter_bound(a4)
-    return _bound_result(mv, (q, q), witness)
+    return _bound_result(mv, q, abs(q - a3) <= allowance(q + abs(a3), mv.m4))
 
 
 def m3_interval(m1: float, m2: float, m4: float) -> MomentInterval:
@@ -261,36 +244,21 @@ def extremal_from_sigma(sigma: float) -> DiscreteDistribution:
 
 
 def certificate_from_hankel(mv: MomentVector) -> Certificate:
-    """Extract the boundary distribution from a singular Hankel matrix.
-
-    Requires the standardized det H = a b - c^2, (a, b, c) = ``mv.cov``, to
-    be 0 within tol (and H PSD): then the law sits on at most two points
-    (the rank <= 2 case of Curto & Fialkow 1991), the roots of
-    a0 + a1 X + a2 X^2.  When a and b are both within tol of 0, H has rank
-    1 and the law is the point mass at m1.  Otherwise its variance a must
-    be positive, and its mean, a and third central moment c - 2 m1 a fix
-    its two atoms and weights (``_two_point``), which must reproduce the
-    standardized m2, m3 and m4 within tol.
-    """
-    _require_feasible(mv)
-    a, b, c = mv.cov
-    tol = DEFAULT_TIGHT_TOL
-    if abs(a * b - c * c) > tol:
+    """The ``_boundary_law`` of a singular Hankel matrix, scaled back, and its
+    quadratic; InfeasibleMomentsError when there is none."""
+    if not mv.psd:
+        raise InfeasibleMomentsError("not a moment vector")
+    law = _boundary_law(mv)
+    if law is None:
+        if mv.cov[0] <= 0.0:
+            raise InfeasibleMomentsError("singular Hankel matrix without a positive variance")
         raise InfeasibleMomentsError("interior point: no finite-support certificate of order <= 2")
-    if abs(a) <= tol and abs(b) <= tol:
-        roots: tuple[float, ...] = (float(mv.m1),)
-        coeffs = (-mv.m1, 1.0, 0.0)
-        atoms: tuple[tuple[float, float], ...] = ((roots[0], 1.0),)
-    elif a <= 0.0:
-        raise InfeasibleMomentsError("singular Hankel matrix without a positive variance")
+    s = mv.s or 1.0  # s = 0 leaves the moments unscaled, as in ``standardize``
+    roots = tuple(s * x for x, _ in law)
+    if len(law) == 1:
+        coeffs = (-roots[0], 1.0, 0.0)
     else:
-        a1 = mv.unit[0]
-        s = mv.s or 1.0  # s = 0 leaves the moments unscaled, as in ``standardize``
-        (lo, p), (hi, q) = unit_atoms = _two_point(a1, a, c - 2.0 * a1 * a)
-        if not _reproduces(unit_atoms, mv.unit):
-            raise InfeasibleMomentsError("singular Hankel matrix, but no law on two points has these moments")
-        roots = (s * lo, s * hi)
+        (lo, _), (hi, _) = law
         coeffs = (lo * hi, -(lo + hi) / s, 1.0 / s / s)
-        atoms = ((roots[0], p), (roots[1], q))
     norm = math.hypot(*coeffs)
-    return Certificate(tuple(c / norm for c in coeffs), roots, DiscreteDistribution(atoms))
+    return Certificate(tuple(c / norm for c in coeffs), roots, DiscreteDistribution(zip(roots, (p for _, p in law))))

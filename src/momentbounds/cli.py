@@ -37,7 +37,6 @@ import sys
 
 from . import __version__
 from .bounds import (
-    DEFAULT_TIGHT_TOL,
     bound_quarter,
     bound_sqrt,
     bound_trivial,
@@ -156,7 +155,6 @@ def cmd_bound(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
         raise InfeasibleMomentsError("not a moment sequence")
     report = _base_report("bound", echo)
     report["moments"] = _json(mv)
-    report["tolerance"] = DEFAULT_TIGHT_TOL
     report["feasibility"] = _json(rep)
     report["interval"] = _json(m3_interval(mv.m1, mv.m2, mv.m4))
     report["bounds"] = {"trivial": {"bound": bound_trivial(mv)}}

@@ -93,16 +93,24 @@ def covariance(m1, m2, m3, m4):
     return m2 - m1 * m1, m4 - m2 * m2, m3 - m1 * m2
 
 
+def allowance(terms, m4=0.0):
+    """The rounding allowance of a result of X / s whose terms sum to ``terms``
+    in magnitude: 8 ulps of them, plus m4's own rounding error 4 * 2^-1074 / m4
+    when m4 is subnormal (a point mass at 6.89e-81 has m4 = 2.25e-321, good to
+    ~3 digits, and Var X^2 of X / s near -5e-4).  Floats or arrays of terms."""
+    e = 8.0 * sys.float_info.epsilon * terms
+    return e + 4.0 * math.ulp(0.0) / m4 if 0.0 < m4 < sys.float_info.min else e
+
+
 def cov_radius(unit, cov):
-    """sqrt(ab) of a standardized vector's covariance, a and b raised by their
-    rounding error, 8 ulps of the terms they subtract: the largest |c| that
+    """sqrt(ab) of a standardized vector's covariance, a and b raised by the
+    rounding ``allowance`` of the terms they subtract: the largest |c| that
     ``psd_verdict`` and ``m3_interval`` accept, and at m1 = 0 the sqrt bound
     (``bounds.sqrt_bound``).  The law on -0.5 - 1e-9 and
     0.5 - 1e-9 has b = 1.6e-17 and |c| = 4e-9, but its b rounds to 1 - 1 = 0;
     at b = 0 the Rademacher law gets 5.96e-8.  Floats or arrays."""
     (a1, a2, _, a4), (a, b, _) = unit, cov
-    e = 8.0 * sys.float_info.epsilon
-    return root(floor_at(a + e * (a2 + a1 * a1), 0.0) * floor_at(b + e * (a4 + a2 * a2), 0.0))
+    return root(floor_at(a + allowance(a2 + a1 * a1), 0.0) * floor_at(b + allowance(a4 + a2 * a2), 0.0))
 
 
 def psd_verdict(a1, a2, a3, a4, tol: float = DEFAULT_PSD_TOL):
@@ -122,12 +130,9 @@ def psd_verdict(a1, a2, a3, a4, tol: float = DEFAULT_PSD_TOL):
 
 def psd_tol(m4: float) -> float:
     """The PSD tolerance on the standardized covariance, for ``MomentVector``
-    and ``m3_interval``: DEFAULT_PSD_TOL, widened by m4's own rounding error
-    4 * 2^-1074 / m4 when m4 is subnormal (a point mass at 6.89e-81 has
-    m4 = 2.25e-321, good to ~3 digits, and Var X^2 near -5e-4)."""
-    if 0.0 < m4 < sys.float_info.min:
-        return DEFAULT_PSD_TOL + 4.0 * math.ulp(0.0) / m4
-    return DEFAULT_PSD_TOL
+    and ``m3_interval``: DEFAULT_PSD_TOL, widened by m4's rounding error
+    when m4 is subnormal (``allowance(0.0, m4)``)."""
+    return DEFAULT_PSD_TOL + allowance(0.0, m4)
 
 
 def _validated_make(cls, iterable):

@@ -563,6 +563,10 @@ def random_falsifier(trials: int, seed: int) -> FalsifierReport:
     workspace; the result is the same for any chunk size and fully
     reproducible from ``seed``, 0 <= seed < 2**64 (``_uniforms``).
     """
+    try:
+        trials = operator.index(trials)
+    except TypeError:
+        raise TypeError("trials must be an integer") from None
     if not 0 < trials <= MAX_TRIALS:
         raise ValueError(f"trials must be in 1..{MAX_TRIALS}")
     seed = _checked_seed(seed)

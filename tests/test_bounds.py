@@ -46,6 +46,14 @@ class TestBoundSqrt:
         assert res.slack == 5.960464477539068e-08
         assert res.tight
         assert res.witness.atoms == ((-1.0, 0.5), (1.0, 0.5))
+        # at every scale, as a law and as a vector: a one-ulp residual of
+        # a4 a2 - a2^3 of X / s once flipped the verdict at 1e-5, 1e-3 and 1e-2
+        for lam in (10.0**k for k in range(-6, 7)):
+            law = DiscreteDistribution(((-lam, 0.5), (lam, 0.5)))
+            for mv in (moments_from_discrete(law), MomentVector(1, 0, lam**2, 0, lam**4)):
+                res = bound_sqrt(mv)
+                assert res.tight, lam
+                assert [v for atom in res.witness.atoms for v in atom] == pytest.approx([-lam, 0.5, lam, 0.5], rel=1e-15), lam
 
     def test_two_point_tight(self):
         res = bound_sqrt(MomentVector(1, 0, 2, 2, 6))
@@ -59,11 +67,12 @@ class TestBoundSqrt:
     @pytest.mark.parametrize("d", [5e-9, -5e-9, 1e-12])
     def test_near_symmetric_law_is_not_missed(self, d):
         # m4 m2 - m2^3 of the law on -1 and 1 + d cancels to 0, and the bound
-        # without its rounding allowance was 0, below m3 = d for d > 0
+        # without its rounding allowance was 0, below m3 = d for d > 0; for
+        # d < 0, m3 = d s^3 is the lower end of the m3 range, not the upper
         mv = moments_from_discrete(two_point_zero_mean(1.0, 1.0 + d))
         res = bound_sqrt(mv)
         assert res.slack >= 0.0
-        assert res.tight
+        assert res.tight == (d > 0.0)
         # at m1 = 0 the bound is the upper end of the interval
         assert res.bound == pytest.approx(m3_interval(mv.m1, mv.m2, mv.m4).hi, abs=1e-15)
 
@@ -78,6 +87,19 @@ class TestBoundSqrt:
     def test_rejects_positive_mean(self):
         with pytest.raises(ValueError, match="m1 <= 0"):
             bound_sqrt(MomentVector(1, 0.5, 1, 0, 2))
+
+    @pytest.mark.parametrize("lam", [1.0, 1e3])
+    def test_no_witness_misses_its_moments(self, lam):
+        # m4 = 0 forces X = 0, so m2 = 1e-6 has no law; the witness came back as
+        # the point mass at -0.0, whose m2 is 0 (times 1e3 the vector is not PSD)
+        mv = scale_moments(MomentVector(1, 0, 1e-6, 0, 0), lam)
+        for bound in (bound_sqrt, bound_quarter):
+            try:
+                res = bound(mv)
+            except InfeasibleMomentsError:
+                assert not mv.psd
+            else:
+                assert res.witness is None or tuple(moments_from_discrete(res.witness)) == tuple(mv)
 
     def test_rejects_infeasible(self):
         with pytest.raises(InfeasibleMomentsError, match="not a moment vector"):
@@ -298,8 +320,12 @@ class TestCertificate:
                 assert abs(a - b) <= 1e-8 * tol_scale(mv)
 
     def test_interior_point_rejected(self):
-        with pytest.raises(InfeasibleMomentsError, match="interior point"):
-            certificate_from_hankel(MomentVector(1, 0, 1, 0, 2))
+        # the second, three close atoms, has det H = 7.8e-15 of X / s against an
+        # allowance of 1.5e-18: no law on two points, though an absolute 1e-8 found one
+        close = [(0.14075906868125476, 0.17931881722593587), (0.14112114837249698, 0.3858294686422853), (0.14295461882191937, 0.4348517141317788)]
+        for mv in (MomentVector(1, 0, 1, 0, 2), moments_from_discrete(DiscreteDistribution(close))):
+            with pytest.raises(InfeasibleMomentsError, match="interior point"):
+                certificate_from_hankel(mv)
 
     def test_infeasible_rejected(self):
         with pytest.raises(InfeasibleMomentsError, match="not a moment vector"):
@@ -378,22 +404,24 @@ class TestTwoPointRecovery:
 
     def test_tiny_mass_far_out(self):
         # mass 1e-300 at -1, the rest at 0: Var X / s^2 = 1e-150 but Var X^2 / s^4 ~ 1
-        mv = moments_from_discrete(DiscreteDistribution.from_pairs([(-1.0, 1e-300), (0.0, 1.0)]))
+        law = DiscreteDistribution.from_pairs([(-1.0, 1e-300), (0.0, 1.0)])
+        mv = moments_from_discrete(law)
         assert tuple(mv) == (1.0, -1e-300, 1e-300, -1e-300, 1e-300)
         cert = certificate_from_hankel(mv)
         assert cert.roots == (-1.0, 0.0)
         assert [p for _, p in cert.recovered.atoms] == pytest.approx([1e-300, 1.0], rel=1e-12, abs=0.0)
+        assert tuple(moments_from_discrete(cert.recovered)) == tuple(mv)
+        # m3 = -1e-300 is the lower end of its range [-1e-300, 1e-300]: 2e-75 s^3
+        # below the sqrt bound, but the law sits there and attains nothing
         res = bound_sqrt(mv)
-        assert res.tight
-        assert [x for x, _ in res.witness.atoms] == pytest.approx([-1.0, 1e-300], rel=1e-12, abs=0.0)
-        assert standardized_error(res.witness, mv) <= 1e-12
+        assert not res.tight and res.witness is None
 
     @pytest.mark.parametrize("ratio", [1e-300, 1e-20, 1e-8, 1.0, 1e8, 1e20, 1e100])
     def test_zero_mean_law_at_extreme_skew(self, ratio):
         mv = moments_from_discrete(two_point_zero_mean(1.0, ratio))
         assert standardized_error(certificate_from_hankel(mv).recovered, mv) <= 1e-12
         res = bound_sqrt(mv)
-        assert res.tight or ratio < 1.0  # m3 = uv(v - u) attains the bound for v >= u
+        assert res.tight == (ratio >= 1.0)  # m3 = uv(v - u) attains the bound for v >= u
         if res.tight:
             assert standardized_error(res.witness, mv) <= 1e-12
 
@@ -406,13 +434,15 @@ class TestTwoPointRecovery:
 
     @pytest.mark.parametrize("m2", [1e-20, 1e-320])
     def test_small_slack_without_an_attaining_law_is_not_tight(self, m2):
-        # m3 = 5e-11 lies within sqrt(m2 (m4 - m2^2)) + 1e-10 of 0: PSD
+        # m3 = 5e-11 lies within sqrt(m2 (m4 - m2^2)) + 1e-10 of 0: PSD; but
+        # det H = m2 - m3^2 is 7.5e-21 (H positive definite) or -2.5e-21,
+        # far outside its rounding allowance either way
         mv = MomentVector(1, 0, m2, 5e-11, 1)
         assert mv.psd
         res = bound_sqrt(mv)
         assert abs(res.scaled_slack) <= 1e-8
         assert not res.tight and res.witness is None
-        with pytest.raises(InfeasibleMomentsError, match="no law on two points"):
+        with pytest.raises(InfeasibleMomentsError, match="interior point"):
             certificate_from_hankel(mv)
 
     def test_singular_without_positive_variance_rejected(self):

@@ -183,7 +183,8 @@ class TestBoundCommand:
         code, report, err = run(capsys, "bound", "--moments", "1", "0", m2, "0", "1.2100000000000002")
         assert code == 0, err
         assert report["feasibility"]["psd"] is True
-        assert report["tolerance"] == bounds.DEFAULT_TIGHT_TOL == 1e-8
+        a, b, _ = report["feasibility"]["covariance"]
+        assert report["feasibility"]["margin"] == min(a, b) + moments.DEFAULT_PSD_TOL
         assert report["interval"]["lo"] <= 0.0 <= report["interval"]["hi"]
 
     @pytest.mark.parametrize("m2", ["1e-20", "1e-320"])
@@ -490,7 +491,7 @@ ATOMS = ("[].x", "[].p")
 MOMENTS = keys("moments", "m0", "m1", "m2", "m3", "m4")
 FEASIBILITY = keys("feasibility", "psd", "scale", "covariance", "margin")
 BOUND = ("bound", "slack", "scaled_slack", "tight")
-BOUND_HEAD = HEAD | MOMENTS | FEASIBILITY | {"input.moments", "tolerance"} | keys("interval", "lo", "hi")
+BOUND_HEAD = HEAD | MOMENTS | FEASIBILITY | {"input.moments"} | keys("interval", "lo", "hi")
 SHARP = keys("bounds", "trivial", "trivial.bound", "sqrt", "quarter") | keys("bounds.sqrt", *BOUND) | keys("bounds.quarter", *BOUND)
 
 REPORT_SHAPES = {

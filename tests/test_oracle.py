@@ -668,6 +668,8 @@ class TestRandomFalsifier:
         monkeypatch.setattr(oracle, "_uniforms", refuse)
         with pytest.raises(ValueError, match="trials must be in 1"):
             random_falsifier(oracle.MAX_TRIALS + 1, 0)
+        with pytest.raises(TypeError, match="trials must be an integer"):
+            random_falsifier(1e5, 42)
         # the seed is refused before allocation too
         with pytest.raises(ValueError, match="seed must be below"):
             random_falsifier(10, 2**64)

@@ -270,22 +270,12 @@ def assert_close(got, want, where):
         assert got == want, where
 
 
-RADEMACHER_TIGHT_FLIPS = pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="FOUND: the Rademacher law times 1e-5, 1e-3 or 1e-2 is not sqrt-tight, as it is at 1: the root of "
-    "a one-ulp residual of a4 a2 - a2^3 exceeds the tight tolerance 1e-8",
-)
-
-
 @pytest.mark.parametrize("key", ["psd", "interval", "sqrt", "quarter", "certificate"])
 @pytest.mark.parametrize("family, seed", [("two-point", 1), ("extremal", 2), ("3-5 atoms", 3)])
-def test_every_output_is_scale_covariant(family, seed, key, request):
+def test_every_output_is_scale_covariant(family, seed, key):
     # X -> lam X for lam = 1e-6..1e6: the same verdicts, and every value
     # covariant; the certificate's signs included, which a sign rule on the
     # raw coefficients would flip (the Rademacher law at 1e-6 against 1)
-    if (family, key) == ("two-point", "sqrt"):
-        request.applymarker(RADEMACHER_TIGHT_FLIPS)
     for d in seeded_laws(family, 30, seed):
         base = unit_outputs(d, 1.0)[key]
         for k in range(-6, 7):
