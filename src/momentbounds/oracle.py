@@ -84,6 +84,17 @@ FALSIFIER_ATOMS = 8
 FALSIFIER_TOL = 1e-9
 
 
+def _checked_int(name: str, value, lo: int, hi: int) -> int:
+    """``value`` as an int in lo..hi; otherwise a TypeError or ValueError that names it."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer") from None
+    if not lo <= value <= hi:
+        raise ValueError(f"{name} must be in {lo}..{hi}")
+    return value
+
+
 class OracleConfig(namedtuple("OracleConfig", "grid_lo grid_hi grid_step m4_target max_support")):
     """Grid and constraint parameters of the oracles.
 
@@ -99,8 +110,7 @@ class OracleConfig(namedtuple("OracleConfig", "grid_lo grid_hi grid_step m4_targ
             raise ValueError("grid_step must be positive")
         if not grid_lo < grid_hi:
             raise ValueError("grid_lo must be below grid_hi")
-        if max_support not in (2, 3):
-            raise ValueError("max_support must be 2 or 3")
+        max_support = _checked_int("max_support", max_support, 2, 3)
         if not (m4_target > 0.0 and math.isfinite(m4_target)):
             raise ValueError("m4_target must be positive")
         self = super().__new__(cls, grid_lo, grid_hi, grid_step, m4_target, max_support)
@@ -405,16 +415,6 @@ class ReplayedTrial(namedtuple("ReplayedTrial", "law moments scaled_margin")):
     __slots__ = ()
 
 
-def _checked_seed(seed: int) -> int:
-    """``seed`` as an int, refused by name outside the stream's 0 <= seed < 2**64."""
-    seed = operator.index(seed)
-    if seed < 0:
-        raise ValueError("seed must be nonnegative")
-    if seed >= 2**64:
-        raise ValueError("seed must be below 2**64")
-    return seed
-
-
 #: SplitMix64 (Steele, Lea & Flood 2014, OOPSLA): the state's increment
 #: (the golden gamma) and the finalizer's two (shift, multiplier) rounds.
 _GAMMA = 0x9E3779B97F4A7C15
@@ -563,13 +563,8 @@ def random_falsifier(trials: int, seed: int) -> FalsifierReport:
     workspace; the result is the same for any chunk size and fully
     reproducible from ``seed``, 0 <= seed < 2**64 (``_uniforms``).
     """
-    try:
-        trials = operator.index(trials)
-    except TypeError:
-        raise TypeError("trials must be an integer") from None
-    if not 0 < trials <= MAX_TRIALS:
-        raise ValueError(f"trials must be in 1..{MAX_TRIALS}")
-    seed = _checked_seed(seed)
+    trials = _checked_int("trials", trials, 1, MAX_TRIALS)
+    seed = _checked_int("seed", seed, 0, 2**64 - 1)
     import numpy as np
     work = _workspace(min(FALSIFIER_CHUNK, trials))
     counts = np.zeros(4, dtype=np.int64)
@@ -589,11 +584,10 @@ def random_falsifier(trials: int, seed: int) -> FalsifierReport:
 
 
 def replay_trial(seed: int, index: int) -> ReplayedTrial:
-    """Trial ``index`` of ``random_falsifier(..., seed)``, rebuilt by the
-    falsifier's own arithmetic: its moments and margin are the ones seen."""
-    if index < 0:
-        raise ValueError("index must be nonnegative")
-    xs, ws, sums, slacks, _ = _chunk(_checked_seed(seed), operator.index(index), _workspace(1), 1)
+    """Trial ``index`` of ``random_falsifier(..., seed)``, 0 <= index < MAX_TRIALS, rebuilt
+    by the falsifier's own arithmetic: its moments and margin are the ones seen."""
+    seed, index = _checked_int("seed", seed, 0, 2**64 - 1), _checked_int("index", index, 0, MAX_TRIALS - 1)
+    xs, ws, sums, slacks, _ = _chunk(seed, index, _workspace(1), 1)
     law = DiscreteDistribution(zip(xs[:, 0], ws[:, 0]))
     mv = MomentVector(1.0, *(float(m[0]) for m in sums))
     return ReplayedTrial(law, mv, float(slacks[:, 0].min()))

@@ -28,14 +28,20 @@ def write_atoms(tmp_path, atoms, name="dist.json"):
 
 class TestMomentsCommand:
     def test_rademacher_file(self, tmp_path, capsys):
-        path = write_atoms(tmp_path, [{"x": -1.0, "p": 0.5}, {"x": 1.0, "p": 0.5}])
-        code, report, _ = run(capsys, "moments", path)
-        assert code == 0
-        assert report["moments"] == {"m0": 1.0, "m1": 0.0, "m2": 1.0, "m3": 0.0, "m4": 1.0}
-        a, b, c = report["feasibility"]["covariance"]
-        assert a * b - c * c == 0.0  # standardized det H: a two-point law
-        assert report["feasibility"]["psd"] is True
-        assert report["version"]
+        # as two atoms, and with the point 1 split in two, which the law merges
+        for atoms in ([{"x": -1.0, "p": 0.5}, {"x": 1.0, "p": 0.5}],
+                      [{"x": -1, "p": 0.5}, {"x": 1, "p": 0.25}, {"x": 1, "p": 0.25}]):
+            path = write_atoms(tmp_path, atoms)
+            code, report, _ = run(capsys, "moments", path)
+            assert code == 0
+            assert report["input"]["atoms"] == [{"x": -1.0, "p": 0.5}, {"x": 1.0, "p": 0.5}]
+            assert report["moments"] == {"m0": 1.0, "m1": 0.0, "m2": 1.0, "m3": 0.0, "m4": 1.0}
+            a, b, c = report["feasibility"]["covariance"]
+            assert a * b - c * c == 0.0  # standardized det H: a two-point law
+            assert report["feasibility"]["psd"] is True
+            assert report["version"]
+            code, report, _ = run(capsys, "bound", path)
+            assert code == 0 and report["bounds"]["sqrt"]["tight"] is True
 
     def test_bad_weight_sum(self, tmp_path, capsys):
         path = write_atoms(tmp_path, [{"x": 0.0, "p": 0.8}])
@@ -114,8 +120,9 @@ class TestMomentsCommand:
         ('{"atoms": [{"x": "1", "p": 1}]}', "x and p must be numbers"),
         ('{"atoms": [{"x": true, "p": true}]}', "x and p must be numbers"),
         ('{"atoms": [{"x": NaN, "p": 1}]}', "non-finite"),
+        ('{"atoms": [{"x": -1, "p": 0.5}, {"x": 1, "p": 0.500000001}]}', "momentbounds: weights do not sum to 1\n"),
     ],
-    ids=["missing", "invalid-json", "top-level-list", "empty-atoms", "string-x", "bool-x-p", "nan-x"],
+    ids=["missing", "invalid-json", "top-level-list", "empty-atoms", "string-x", "bool-x-p", "nan-x", "weights-sum-1e-9-over"],
 )
 def test_bad_distribution_file_exit_2(tmp_path, capsys, text, message):
     path = tmp_path / "law.json"
@@ -177,15 +184,24 @@ class TestBoundCommand:
         assert report["certificate"]["roots"] == pytest.approx([-1e75, 1e75], rel=1e-12)
         assert report["feasibility"]["scale"] == pytest.approx(1e75)
 
-    @pytest.mark.parametrize("m2", ["1.1", "0.123"])
-    def test_feasible_vector_reports_fixed_tolerance(self, capsys, m2):
-        # m2 = 1.1 rounds Var X^2 of X / s to -2.2e-16, inside the PSD tolerance
-        code, report, err = run(capsys, "bound", "--moments", "1", "0", m2, "0", "1.2100000000000002")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["1", "0", "1.1", "0", "1.2100000000000002"],
+            ["1", "0", "0.123", "0", "1.2100000000000002"],
+            ["1.0", "-1.3523981934326912e-10", "1.7166953307576283", "-6.964968601863575e-10", "2.947042858645043"],
+        ],
+        ids=["1.1", "0.123", "real-law-var-x2-near-0"],
+    )
+    def test_feasible_vector_reports_fixed_tolerance(self, capsys, argv):
+        # m2 = 1.1 rounds Var X^2 of X / s to -2.2e-16, inside the PSD tolerance;
+        # the real law's Var X^2 rounds to 0, and its m3 lies inside its own interval
+        code, report, err = run(capsys, "bound", "--moments", *argv)
         assert code == 0, err
         assert report["feasibility"]["psd"] is True
         a, b, _ = report["feasibility"]["covariance"]
         assert report["feasibility"]["margin"] == min(a, b) + moments.DEFAULT_PSD_TOL
-        assert report["interval"]["lo"] <= 0.0 <= report["interval"]["hi"]
+        assert report["interval"]["lo"] <= float(argv[3]) <= report["interval"]["hi"]
 
     @pytest.mark.parametrize("m2", ["1e-20", "1e-320"])
     def test_tiny_variance_is_not_tight(self, capsys, m2):
@@ -359,7 +375,7 @@ class TestVerifyCommand:
         assert report["falsifier"]["eq_sqrt_violations"] == 0
         assert 0 <= report["falsifier"]["worst_trial"] < 500
         assert report["falsifier"]["violating_trials"] == []
-        assert report["lp_pivots"] > 0
+        assert report["lp_pivots"] > 0 and report["candidates_examined"] > 0
         y0, y1, y2 = report["oracle_dual"]
         assert y0 + y1 * 0.0 + y2 * 1.0 == pytest.approx(report["oracle_max_m3"], abs=1e-12)
 
@@ -379,7 +395,7 @@ class TestVerifyCommand:
         code, report, err = run(capsys, "verify", *argv, "--trials", "10")
         assert (code, err) == (1, "")
         assert report["verified"] is False and report["falsifier"]["violating_trials"] == []
-        assert report["gap"] == pytest.approx(gap, rel=1e-2)
+        assert report["gap"] == pytest.approx(gap, rel=1e-2) and len(report["oracle_dual"]) == 3
 
     def test_oversized_grid_exit_2(self, capsys):
         code, report, err = run(capsys, "verify", "--step", "1e-9")
@@ -416,12 +432,12 @@ class TestVerifyCommand:
     def test_negative_seed_exit_2(self, capsys):
         code, report, err = run(capsys, "verify", "--seed", "-1", "--trials", "10")
         assert (code, report) == (2, None)
-        assert err == "momentbounds: seed must be nonnegative\n"
+        assert err == "momentbounds: seed must be in 0..18446744073709551615\n"
 
     def test_seed_above_range_exit_2(self, capsys):
         code, report, err = run(capsys, "verify", "--seed", str(2**64), "--trials", "10")
         assert (code, report) == (2, None)
-        assert err == "momentbounds: seed must be below 2**64\n"
+        assert err == "momentbounds: seed must be in 0..18446744073709551615\n"
         code, report, _ = run(capsys, "verify", "--seed", str(2**64 - 1), "--trials", "10", "--step", "0.5")
         assert code == 1 and report["input"]["seed"] == 2**64 - 1  # the coarse grid's verdict, not the seed's
 
@@ -665,17 +681,23 @@ def test_scalar_subcommands_import_no_numpy():
 #: Calls that their argument checks refuse, with the message of each.
 REFUSED_CALLS = (
     ("random_falsifier(0, 1)", f"trials must be in 1..{oracle.MAX_TRIALS}"),
-    ("random_falsifier(10, -1)", "seed must be nonnegative"),
-    ("random_falsifier(10, 2**64)", "seed must be below 2**64"),
-    ("replay_trial(0, -1)", "index must be nonnegative"),
+    ("random_falsifier(10, -1)", "seed must be in 0..18446744073709551615"),
+    ("random_falsifier(10, 2**64)", "seed must be in 0..18446744073709551615"),
+    ("random_falsifier(10, 42.0)", "seed must be an integer"),
+    ("replay_trial(0, -1)", f"index must be in 0..{oracle.MAX_TRIALS - 1}"),
+    (f"replay_trial(0, {oracle.MAX_TRIALS})", f"index must be in 0..{oracle.MAX_TRIALS - 1}"),  # no call draws it
+    ("replay_trial(42.0, 0)", "seed must be an integer"),
+    ("replay_trial(42, 0.0)", "index must be an integer"),
+    ("replay_trial(42, 'a')", "index must be an integer"),
     ("OracleConfig(grid_step=0)", "grid_step must be positive"),
+    ("OracleConfig(max_support=2.5)", "max_support must be an integer"),
 )
 
 
 def test_refused_calls_do_not_load_numpy():
     code = "import sys\nfrom momentbounds import *\n"
     for call, _ in REFUSED_CALLS:
-        code += f"try:\n    {call}\nexcept ValueError as exc:\n    print(exc)\nelse:\n    print('accepted')\n"
+        code += f"try:\n    {call}\nexcept (TypeError, ValueError) as exc:\n    print(exc)\nelse:\n    print('accepted')\n"
     code += "print('numpy' in sys.modules)\n"
     proc = subprocess.run(
         [sys.executable, "-c", code],

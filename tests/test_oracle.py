@@ -1,7 +1,11 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 from random import Random
 
 import numpy as np
@@ -10,6 +14,7 @@ import pytest
 from momentbounds import (
     QUARTER_CONSTANT,
     CertificateError,
+    DiscreteDistribution,
     InfeasibleMomentsError,
     OracleConfig,
     bound_quarter,
@@ -25,6 +30,7 @@ from momentbounds import (
 from momentbounds import oracle
 from momentbounds.oracle import check_certificate, lp_max
 from conftest import tol_scale
+import reference_falsifier
 
 
 COARSE = OracleConfig(grid_lo=-2.0, grid_hi=2.0, grid_step=0.1)
@@ -101,8 +107,10 @@ class TestOracleConfig:
             OracleConfig(grid_step=-1.0)
         with pytest.raises(ValueError):
             OracleConfig(grid_lo=1.0, grid_hi=0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^max_support must be in 2\.\.3$"):
             OracleConfig(max_support=4)
+        with pytest.raises(TypeError, match="^max_support must be an integer$"):
+            OracleConfig(max_support=2.0)
         with pytest.raises(ValueError):
             OracleConfig(m4_target=0.0)
 
@@ -645,19 +653,20 @@ class TestRandomFalsifier:
         assert a == b
 
     def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
+        seeds = r"^seed must be in 0\.\.18446744073709551615$"
+        with pytest.raises(ValueError, match=rf"^trials must be in 1\.\.{oracle.MAX_TRIALS}$"):
             random_falsifier(trials=0, seed=1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=rf"^index must be in 0\.\.{oracle.MAX_TRIALS - 1}$"):
             replay_trial(1, -1)
-        with pytest.raises(ValueError, match="seed must be nonnegative"):
+        with pytest.raises(ValueError, match=seeds):
             random_falsifier(10, -1)
-        with pytest.raises(ValueError, match="seed must be nonnegative"):
+        with pytest.raises(ValueError, match=seeds):
             replay_trial(-1, 0)
-        with pytest.raises(ValueError, match=r"seed must be below 2\*\*64"):
+        with pytest.raises(ValueError, match=seeds):
             random_falsifier(10, 2**64)
-        with pytest.raises(ValueError, match=r"seed must be below 2\*\*64"):
+        with pytest.raises(ValueError, match=seeds):
             replay_trial(2**64, 0)
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError, match="^seed must be an integer$"):
             random_falsifier(10, 1.5)
 
     def test_trials_capped_before_allocation(self, monkeypatch):
@@ -671,10 +680,12 @@ class TestRandomFalsifier:
         with pytest.raises(TypeError, match="trials must be an integer"):
             random_falsifier(1e5, 42)
         # the seed is refused before allocation too
-        with pytest.raises(ValueError, match="seed must be below"):
+        with pytest.raises(ValueError, match=r"^seed must be in 0\.\.18446744073709551615$"):
             random_falsifier(10, 2**64)
-        with pytest.raises(ValueError, match="seed must be below"):
+        with pytest.raises(ValueError, match=r"^seed must be in 0\.\.18446744073709551615$"):
             replay_trial(2**64, 0)
+        with pytest.raises(ValueError, match=rf"^index must be in 0\.\.{oracle.MAX_TRIALS - 1}$"):
+            replay_trial(0, oracle.MAX_TRIALS)
 
     @pytest.mark.parametrize("seed", [0, 42, 2**64 - 1])
     def test_uniforms_are_splitmix64(self, seed):
@@ -762,6 +773,35 @@ class TestRandomFalsifier:
         iv = m3_interval(mv.m1, mv.m2, mv.m4)
         assert slacks[2, 0] == pytest.approx(min(mv.m3 - iv.lo, iv.hi - mv.m3) / mv.s**3, abs=1e-13)
         assert not flags.any()
+
+    def test_pure_python_twin_replays_every_trial_bit_for_bit(self):
+        # reference_falsifier rebuilds a trial with neither numpy nor the oracle module
+        rng = Random(14)
+        pairs = [(rng.randrange(100), rng.randrange(30000)) for _ in range(150)]
+        pairs += [(rng.getrandbits(64), rng.randrange(oracle.MAX_TRIALS)) for _ in range(150)]
+        pairs += [(2**64 - 1, 0), (0, oracle.MAX_TRIALS - 1), (2**64 - 1, oracle.MAX_TRIALS - 1)]
+        pairs += [(seed, rep.worst_trial) for (_, seed), rep in self.PINNED.items()]
+        for seed, index in pairs:
+            xs, ws, sums, slacks, flags = reference_falsifier.trial(seed, index)
+            replayed = replay_trial(seed, index)
+            assert replayed.law == DiscreteDistribution(zip(xs, ws)), (seed, index)
+            assert [m.hex() for m in replayed.moments] == [m.hex() for m in (1.0, *sums)], (seed, index)
+            assert replayed.scaled_margin.hex() == min(slacks).hex(), (seed, index)
+            seen = oracle._evaluate(*(np.array([m]) for m in replayed.moments[1:]))[1][:, 0]
+            assert flags == tuple(seen.tolist()), (seed, index)
+
+    @pytest.mark.parametrize("seed", [42, 2**64 - 1])
+    def test_pure_python_twin_reports_as_the_falsifier(self, seed):
+        assert tuple(random_falsifier(2000, seed)) == reference_falsifier.report(2000, seed)
+
+    def test_pure_python_twin_loads_neither_numpy_nor_the_oracle(self):
+        code = ("import sys, reference_falsifier as rf; margin = min(rf.trial(7, 9652)[3]).hex()\n"
+                "assert 'numpy' not in sys.modules and 'momentbounds.oracle' not in sys.modules\nprint(margin)")
+        tests = Path(__file__).resolve().parent
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(tests.parent / "src"), str(tests)])}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == self.PINNED[30000, 7].worst_scaled_slack.hex() + "\n"
 
     def test_two_point_draws_are_equality_cases(self):
         import numpy as np
